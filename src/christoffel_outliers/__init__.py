@@ -26,6 +26,7 @@ from .christoffel import (
     ic_scores,
     kic2_scores,
     kic_score,
+    kic_scores,
     kic_scores_all,
 )
 from .dataio import (
@@ -40,11 +41,9 @@ from .dataio import (
 from .evaluation import BenchmarkTable, CellStats, PRCurve, auprc, pr_curve, summarize
 from .kernels import (
     KernelSpec,
-    KernelTriple,
     cross_vector,
     eval_kernel,
     gram_matrix,
-    kernel_triple,
 )
 from .linalg import (
     ConvergenceError,

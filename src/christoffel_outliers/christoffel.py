@@ -249,71 +249,85 @@ def default_sigma(p: int, variant: str = "KIC") -> float:
     raise ValueError(f"variant must be 'KIC' or 'KIC2', got {variant!r}")
 
 
-def fit_kic(X, kernel: KernelSpec, rho: float) -> ChristoffelModel:
-    """Fit the kernelized scorer: factorize (rho I + G/n) over the rows of X."""
+def fit_kic(
+    X, kernel: KernelSpec, rho: float | None = None, C: float = 500.0
+) -> ChristoffelModel:
+    """Fit the kernelized scorer: factorize (rho I + G/n) over the rows of X.
+
+    The Gram matrix is built once. When ``rho`` is None it comes from
+    ``default_rho`` on that same scaled Gram with divisor ``C``; the model
+    records the effective value.
+    """
     X = as_matrix(X)
-    if not rho > 0:
+    if rho is not None and not rho > 0:
         raise ValueError("rho must be positive")
     n = X.shape[0]
     G_scaled = gram_matrix(kernel, X) / n
-    A = G_scaled + rho * np.eye(n)
-    factor = spd_factor(A)
+    if rho is None:
+        rho = default_rho(G_scaled, C)
+    factor = spd_factor(G_scaled + rho * np.eye(n))
     return ChristoffelModel(kernel=kernel, rho=float(rho), training=X, factorization=factor)
 
 
-def kic_score(model: ChristoffelModel, x) -> float:
-    """Kernelized score phi(rho) = gamma - g^T (rho I + G)^{-1} g at one query.
+def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
+    """Kernelized scores phi(rho) = gamma - g^T (rho I + G)^{-1} g, one per row of Q.
 
     g is scaled by 1/sqrt(n) and G by 1/n (the moment scaling); gamma is the
-    raw self-kernel value. The value is evaluated through the equivalent
+    raw self-kernel value. Each value is evaluated through the equivalent
     ridge objective at the solved coefficients, which avoids the
     catastrophic cancellation of the literal difference when rho is tiny,
     and is clamped at zero.
+
+    Rows are solved one at a time: a batched triangular solve rounds a
+    column differently depending on its position in the block, and a row's
+    score must not depend on the rows scored with it.
     """
-    x = as_vector(x, "x")
-    if x.shape[0] != model.p:
+    Q = as_matrix(Q, "Q")
+    if Q.shape[1] != model.p:
         raise ValueError(
-            f"dimension mismatch: model expects {model.p} features, got {x.shape[0]}"
+            f"dimension mismatch: model expects {model.p} features, got {Q.shape[1]}"
         )
-    g, gamma = cross_vector(model.kernel, model.training, x)
-    g = g / math.sqrt(model.n)
-    theta = spd_solve(model.factorization, g)
-    return ridge_objective_from_factor(model.factorization, g, gamma, theta)
+    scale = math.sqrt(model.n)
+    scores = np.empty(Q.shape[0])
+    for i, x in enumerate(Q):
+        g, gamma = cross_vector(model.kernel, model.training, x)
+        g = g / scale
+        theta = spd_solve(model.factorization, g)
+        scores[i] = ridge_objective_from_factor(model.factorization, g, gamma, theta)
+    return scores
+
+
+def kic_score(model: ChristoffelModel, x) -> float:
+    """Kernelized score at one query point: ``kic_scores`` on a single row."""
+    x = as_vector(x, "x")
+    return float(kic_scores(model, x[None, :])[0])
 
 
 def kic_scores_all(X, kernel: KernelSpec, rho: float) -> np.ndarray:
     """Fit on X and score every training row.
 
-    One factorization is shared across all rows; each row then goes through
-    exactly the same path as a single ``kic_score`` call, so the result
-    matches per-point scoring bit for bit.
+    Equal to ``kic_scores(fit_kic(X, kernel, rho), X)``, so it matches
+    per-point ``kic_score`` on the fitted model bit for bit.
     """
     model = fit_kic(X, kernel, rho)
-    return np.array([kic_score(model, row) for row in model.training])
+    return kic_scores(model, model.training)
 
 
 def kic2_scores(X, kernel: KernelSpec, C: float, alpha: float = 0.6) -> np.ndarray:
     """Two-stage filtered kernelized scores.
 
-    Stage one scores all of X with rho from ``default_rho``. The
-    ceil(alpha * n) lowest-scoring rows (ties by position) form the
-    filtered set; stage two recomputes rho on that set, refits and scores
-    every original row with the stage-two model.
+    Stage one fits on all of X with rho from ``default_rho`` and scores
+    every row. The ceil(alpha * n) lowest-scoring rows (ties by position)
+    form the filtered set; stage two fits on that set, again with the
+    default rho rule, and scores every original row. Each stage builds one
+    Gram matrix.
     """
     X = as_matrix(X)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    n = X.shape[0]
-    G_scaled = gram_matrix(kernel, X) / n
-    rho1 = default_rho(G_scaled, C)
-    stage1 = kic_scores_all(X, kernel, rho1)
+    stage1 = kic_scores(fit_kic(X, kernel, C=C), X)
     keep = lowest_score_indices(stage1, alpha)
-    filtered = X[keep]
-    m = filtered.shape[0]
-    G2_scaled = gram_matrix(kernel, filtered) / m
-    rho2 = default_rho(G2_scaled, C)
-    model = fit_kic(filtered, kernel, rho2)
-    return np.array([kic_score(model, row) for row in X])
+    return kic_scores(fit_kic(X[keep], kernel, C=C), X)
 
 
 def grid_scores(
@@ -330,11 +344,9 @@ def grid_scores(
         raise ValueError("grid scoring requires a model trained on 2-feature data")
     xs = _grid_axis(x_range, "x_range")
     ys = _grid_axis(y_range, "y_range")
-    scores = np.empty((ys.shape[0], xs.shape[0]))
-    for i, yv in enumerate(ys):
-        for j, xv in enumerate(xs):
-            scores[i, j] = kic_score(model, np.array([xv, yv]))
-    return xs, ys, scores
+    gx, gy = np.meshgrid(xs, ys)
+    scores = kic_scores(model, np.column_stack([gx.ravel(), gy.ravel()]))
+    return xs, ys, scores.reshape(ys.shape[0], xs.shape[0])
 
 
 def _grid_axis(rng: tuple[float, float, int], name: str) -> np.ndarray:

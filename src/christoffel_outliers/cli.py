@@ -31,17 +31,16 @@ from .christoffel import (
     DEFAULT_FEATURE_DIM_LIMIT,
     FeatureDimensionError,
     MomentMatrixError,
-    default_rho,
     default_sigma,
     fit_kic,
     grid_scores,
     ic_scores,
     kic2_scores,
-    kic_scores_all,
+    kic_scores,
 )
 from .dataio import CsvFormatError, DataMatrix, SynthGaussianConfig, load_csv, normalize, synth_gaussian
 from .evaluation import pr_curve, summarize
-from .kernels import KernelSpec, gram_matrix
+from .kernels import KernelSpec
 from .linalg import ConvergenceError, NotPositiveDefiniteError
 
 EXIT_OK = 0
@@ -55,8 +54,20 @@ PRNG_NAME = "numpy-PCG64"
 METHODS = ("IC", "KIC", "KIC2", "KIC-RBF", "KIC-RBF2", "KNN", "KSP", "KSP2")
 RANDOMIZED_METHODS = {"KSP", "KSP2"}
 
-# Method-specific flags; supplying one of these for a method outside its
-# column is a configuration error caught before any computation.
+# Method-specific flags: type, value when omitted, accepted range on n rows
+# and that range in words. Supplying one for a method outside its
+# _METHOD_FLAGS column is a configuration error caught before any
+# computation.
+_HYPERPARAMETERS = {
+    "degree": (int, 2, lambda v, n: v >= 1, "be >= 1"),
+    "C": (float, 500.0, lambda v, n: v > 0, "be positive"),
+    "rho": (float, None, lambda v, n: v > 0, "be positive"),
+    "sigma": (float, None, lambda v, n: v > 0, "be positive"),
+    "alpha": (float, 0.6, lambda v, n: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "k": (int, 5, lambda v, n: 1 <= v <= n - 1, "satisfy 1 <= k <= n - 1 = {m}"),
+    "sample_size": (int, 20, lambda v, n: v >= 1, "be >= 1"),
+}
+
 _METHOD_FLAGS = {
     "IC": {"degree"},
     "KIC": {"degree", "C", "rho"},
@@ -167,11 +178,6 @@ def _resolve(args, field: str, cast, default=None):
             value = env_value
         elif value is None:
             return default
-    if isinstance(value, list):
-        flat: list[str] = []
-        for item in value:
-            flat.extend(part.strip() for part in str(item).split(",") if part.strip())
-        return flat
     if isinstance(value, str) and cast in (int, float):
         try:
             return cast(value)
@@ -211,7 +217,7 @@ def _check_method_flags(args, methods: list[str]) -> None:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
     allowed = set().union(*(_METHOD_FLAGS[m] for m in methods))
-    for flag in ("degree", "C", "rho", "sigma", "alpha", "k", "sample_size"):
+    for flag in _HYPERPARAMETERS:
         if _given(args, flag) and flag not in allowed:
             pretty = "--" + flag.replace("_", "-")
             raise ConfigError(
@@ -219,66 +225,53 @@ def _check_method_flags(args, methods: list[str]) -> None:
             )
 
 
-def _hyper(args, field: str, cast, default):
-    return _resolve(args, field, cast, default)
+def _method_params(method: str, p: int, n: int, args) -> dict:
+    """Effective hyperparameters for one method on n x p data.
 
-
-def _method_params(method: str, p: int, args) -> dict:
-    """Effective hyperparameters for one method on p-feature data."""
+    Raises:
+        ConfigError: if a value lies outside the range its method accepts.
+    """
     params: dict = {}
+    for flag, (cast, default, accepts, rule) in _HYPERPARAMETERS.items():
+        if flag not in _METHOD_FLAGS[method]:
+            continue
+        if method == "KSP2" and flag == "alpha":
+            default = 0.5
+        value = _resolve(args, flag, cast, default)
+        if value is not None and not accepts(value, n):
+            pretty = "--" + flag.replace("_", "-")
+            raise ConfigError(f"{pretty} must {rule.format(m=n - 1)}, got {value}")
+        params[flag] = value
+    if method in ("KIC-RBF", "KIC-RBF2") and params["sigma"] is None:
+        params["sigma"] = default_sigma(p, "KIC" if method == "KIC-RBF" else "KIC2")
     if method == "IC":
-        params["degree"] = _hyper(args, "degree", int, 2)
-        params["feature_dim_limit"] = _hyper(
+        params["feature_dim_limit"] = _resolve(
             args, "feature_dim_limit", int, DEFAULT_FEATURE_DIM_LIMIT
         )
-    elif method in ("KIC", "KIC2"):
-        params["degree"] = _hyper(args, "degree", int, 2)
-        params["C"] = _hyper(args, "C", float, 500.0)
-        if method == "KIC":
-            params["rho"] = _hyper(args, "rho", float, None)
-        else:
-            params["alpha"] = _hyper(args, "alpha", float, 0.6)
-    elif method in ("KIC-RBF", "KIC-RBF2"):
-        variant = "KIC" if method == "KIC-RBF" else "KIC2"
-        params["C"] = _hyper(args, "C", float, 500.0)
-        sigma = _hyper(args, "sigma", float, None)
-        params["sigma"] = default_sigma(p, variant) if sigma is None else sigma
-        if method == "KIC-RBF":
-            params["rho"] = _hyper(args, "rho", float, None)
-        else:
-            params["alpha"] = _hyper(args, "alpha", float, 0.6)
-    elif method == "KNN":
-        params["k"] = _hyper(args, "k", int, 5)
-    elif method == "KSP":
-        params["sample_size"] = _hyper(args, "sample_size", int, 20)
-    elif method == "KSP2":
-        params["sample_size"] = _hyper(args, "sample_size", int, 20)
-        params["alpha"] = _hyper(args, "alpha", float, 0.5)
     return params
+
+
+def _kernel(method: str, params: dict) -> KernelSpec:
+    """Polynomial kernel for KIC/KIC2, RBF for KIC-RBF/KIC-RBF2."""
+    if method.startswith("KIC-RBF"):
+        return KernelSpec.rbf(params["sigma"])
+    return KernelSpec.polynomial(params["degree"])
+
+
+def _fit(method: str, X: np.ndarray, params: dict):
+    """Fit a KIC or KIC-RBF model and record its effective rho in ``params``."""
+    model = fit_kic(X, _kernel(method, params), params["rho"], params["C"])
+    params["rho"] = model.rho
+    return model
 
 
 def _run_method(method: str, X: np.ndarray, params: dict, seed: int) -> np.ndarray:
     if method == "IC":
         return ic_scores(X, X, params["degree"], dim_limit=params["feature_dim_limit"])
     if method in ("KIC", "KIC-RBF"):
-        kernel = (
-            KernelSpec.polynomial(params["degree"])
-            if method == "KIC"
-            else KernelSpec.rbf(params["sigma"])
-        )
-        rho = params.get("rho")
-        if rho is None:
-            G_scaled = gram_matrix(kernel, X) / X.shape[0]
-            rho = default_rho(G_scaled, params["C"])
-        params["rho"] = rho
-        return kic_scores_all(X, kernel, rho)
+        return kic_scores(_fit(method, X, params), X)
     if method in ("KIC2", "KIC-RBF2"):
-        kernel = (
-            KernelSpec.polynomial(params["degree"])
-            if method == "KIC2"
-            else KernelSpec.rbf(params["sigma"])
-        )
-        return kic2_scores(X, kernel, params["C"], params["alpha"])
+        return kic2_scores(X, _kernel(method, params), params["C"], params["alpha"])
     if method == "KNN":
         return knn_scores(X, params["k"])
     if method == "KSP":
@@ -340,7 +333,7 @@ def _cmd_score(args) -> None:
     seed = _resolve(args, "seed", int, 0)
 
     dm = _load_for_run(args, input_path, normalize_on)
-    params = _method_params(method, dm.p, args)
+    params = _method_params(method, dm.p, dm.n, args)
     scores = _run_method(method, dm.values, params, seed)
 
     meta = _base_meta("score", normalize_on, seed)
@@ -387,7 +380,7 @@ def _cmd_bench(args) -> None:
         labels = dm.labels
         for method in methods:
             try:
-                params = _method_params(method, dm.p, args)
+                params = _method_params(method, dm.p, dm.n, args)
                 runs = trials if method in RANDOMIZED_METHODS else 1
                 values = []
                 for trial in range(runs):
@@ -403,7 +396,7 @@ def _cmd_bench(args) -> None:
     meta.append(("methods", ",".join(methods)))
     meta.append(("inputs", ",".join(inputs)))
     meta.append(("trials", str(trials)))
-    for flag in ("degree", "C", "rho", "sigma", "alpha", "k", "sample_size"):
+    for flag in _HYPERPARAMETERS:
         if _given(args, flag):
             meta.append((flag, str(_resolve(args, flag, str, None))))
     lines = _meta_lines(meta)
@@ -488,18 +481,8 @@ def _cmd_contour(args) -> None:
     dm = _load_for_run(args, input_path, normalize_on)
     if dm.p != 2:
         raise ConfigError(f"contour requires 2-feature data, got p={dm.p}")
-    params = _method_params(method, dm.p, args)
-    kernel = (
-        KernelSpec.polynomial(params["degree"])
-        if method == "KIC"
-        else KernelSpec.rbf(params["sigma"])
-    )
-    rho = params.get("rho")
-    if rho is None:
-        G_scaled = gram_matrix(kernel, dm.values) / dm.n
-        rho = default_rho(G_scaled, params["C"])
-        params["rho"] = rho
-    model = fit_kic(dm.values, kernel, rho)
+    params = _method_params(method, dm.p, dm.n, args)
+    model = _fit(method, dm.values, params)
     xs, ys, scores = grid_scores(model, (x_lo, x_hi, x_steps), (y_lo, y_hi, y_steps))
 
     meta = _base_meta("contour", normalize_on, seed)

@@ -65,22 +65,6 @@ class KernelSpec:
         return cls(family=RBF, lengthscale=float(lengthscale))
 
 
-@dataclass(frozen=True)
-class KernelTriple:
-    """Training Gram matrix G, query cross-kernel vector g, self-kernel gamma."""
-
-    gram: np.ndarray
-    cross: np.ndarray
-    self_term: float
-
-    def __post_init__(self):
-        n = self.gram.shape[0]
-        if self.gram.shape != (n, n):
-            raise ValueError("gram must be square")
-        if self.cross.shape != (n,):
-            raise ValueError("cross vector length must match gram dimension")
-
-
 def _int_power(base, exponent: int):
     """base**exponent by repeated squaring; elementwise on arrays."""
     result = None
@@ -154,8 +138,3 @@ def cross_vector(spec: KernelSpec, X, x) -> tuple[np.ndarray, float]:
     g = np.exp(-d2 / (2.0 * spec.lengthscale**2))
     return g, 1.0
 
-
-def kernel_triple(spec: KernelSpec, X, x) -> KernelTriple:
-    """Assemble the (G, g, gamma) triple for a training set and one query."""
-    g, gamma = cross_vector(spec, X, x)
-    return KernelTriple(gram=gram_matrix(spec, X), cross=g, self_term=gamma)

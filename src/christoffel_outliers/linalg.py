@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import solve_triangular
 
 # Jitter multiples of ||A||_F / sqrt(n), escalated only after a plain
 # factorization fails.
@@ -113,7 +113,13 @@ def spd_solve(factorization: SpdFactorization, b) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: factorization is {factorization.n}, rhs has {b.shape[0]} rows"
         )
-    return cho_solve((factorization.lower, True), b)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("rhs contains non-finite values")
+    # Two triangular solves on the stored factor: cho_solve would copy it to
+    # Fortran order and re-check it for finiteness on every call.
+    lower = factorization.lower
+    y = solve_triangular(lower, b, lower=True, check_finite=False)
+    return solve_triangular(lower, y, lower=True, trans="T", check_finite=False)
 
 
 def _clamp_objective(value: float, gamma: float) -> float:

@@ -129,6 +129,49 @@ def test_score_config_error_for_mismatched_flag(tmp_path, capsys):
     assert "--sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--method", "KIC2", "--alpha", "2"],
+    ["--method", "KNN", "--k", "5000"],
+    ["--method", "KIC-RBF", "--sigma", "-1"],
+    ["--method", "KSP2", "--alpha", "3"],
+    ["--method", "KIC", "--rho", "-1"],
+    ["--method", "KIC", "--C", "0"],
+    ["--method", "IC", "--degree", "0"],
+])
+def test_score_out_of_range_hyperparameter_is_config_error(tmp_path, capsys, flags):
+    data = _write_blobs(tmp_path)
+    out = tmp_path / "x.csv"
+    code = main(["score", *flags, "--input", str(data), "--label-column", "outlier",
+                 "--output", str(out)])
+    assert code == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["score", "--method", "KIC"],
+    ["contour", "--method", "KIC-RBF", "--grid=-1,1,3,-1,1,3"],
+])
+def test_kic_commands_build_one_gram(tmp_path, monkeypatch, command):
+    from christoffel_outliers import christoffel, cli
+
+    calls = []
+    real = christoffel.gram_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    # The CLI must not build a Gram of its own next to the one fit_kic builds.
+    monkeypatch.setattr(christoffel, "gram_matrix", counted)
+    monkeypatch.setattr(cli, "gram_matrix", counted, raising=False)
+    data = _write_blobs(tmp_path, p=2)
+    code = main([*command, "--input", str(data), "--label-column", "outlier",
+                 "--output", str(tmp_path / "out.csv")])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_score_unknown_method(tmp_path):
     data = _write_line_dataset(tmp_path)
     code = main(["score", "--method", "LOF",

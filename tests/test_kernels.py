@@ -8,7 +8,6 @@ from christoffel_outliers import (
     cross_vector,
     eval_kernel,
     gram_matrix,
-    kernel_triple,
 )
 from christoffel_outliers.kernels import MAX_POLY_DEGREE
 
@@ -179,7 +178,7 @@ def test_gram_psd():
 
 
 # ---------------------------------------------------------------------------
-# cross_vector / kernel_triple
+# cross_vector
 # ---------------------------------------------------------------------------
 
 
@@ -210,14 +209,3 @@ def test_cross_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         cross_vector(KernelSpec.polynomial(1), [[1.0, 2.0]], [1.0])
 
-
-def test_kernel_triple_assembly():
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(4, 2))
-    x = rng.normal(size=2)
-    spec = KernelSpec.polynomial(2)
-    triple = kernel_triple(spec, X, x)
-    assert np.array_equal(triple.gram, gram_matrix(spec, X))
-    g, gamma = cross_vector(spec, X, x)
-    assert np.array_equal(triple.cross, g)
-    assert triple.self_term == gamma

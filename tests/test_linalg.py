@@ -111,6 +111,13 @@ def test_solve_dimension_mismatch():
         spd_solve(F, np.ones(4))
 
 
+def test_solve_rejects_non_finite_rhs():
+    F = spd_factor(np.eye(3))
+    for bad in (np.array([1.0, np.nan, 0.0]), np.array([[np.inf], [0.0], [1.0]])):
+        with pytest.raises(ValueError, match="non-finite"):
+            spd_solve(F, bad)
+
+
 # ---------------------------------------------------------------------------
 # cg_ridge_solve
 # ---------------------------------------------------------------------------
