@@ -273,10 +273,9 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     """Kernelized scores phi(rho) = gamma - g^T (rho I + G)^{-1} g, one per row of Q.
 
     g is scaled by 1/sqrt(n) and G by 1/n (the moment scaling); gamma is the
-    raw self-kernel value. Each value is evaluated through the equivalent
-    ridge objective at the solved coefficients, which avoids the
-    catastrophic cancellation of the literal difference when rho is tiny,
-    and is clamped at zero.
+    raw self-kernel value. With the stored factor L L^T = rho I + G each
+    value is gamma - ||L^{-1} g||^2, one forward substitution per row
+    (``ridge_objective_from_factor``), clamped at zero.
 
     Rows are solved one at a time: a batched triangular solve rounds a
     column differently depending on its position in the block, and a row's
@@ -291,9 +290,7 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     scores = np.empty(Q.shape[0])
     for i, x in enumerate(Q):
         g, gamma = cross_vector(model.kernel, model.training, x)
-        g = g / scale
-        theta = spd_solve(model.factorization, g)
-        scores[i] = ridge_objective_from_factor(model.factorization, g, gamma, theta)
+        scores[i] = ridge_objective_from_factor(model.factorization, g / scale, gamma)
     return scores
 
 

@@ -66,10 +66,11 @@ _HYPERPARAMETERS = {
     "alpha": (float, 0.6, lambda v, n: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "k": (int, 5, lambda v, n: 1 <= v <= n - 1, "satisfy 1 <= k <= n - 1 = {m}"),
     "sample_size": (int, 20, lambda v, n: v >= 1, "be >= 1"),
+    "feature_dim_limit": (int, DEFAULT_FEATURE_DIM_LIMIT, lambda v, n: v >= 1, "be >= 1"),
 }
 
 _METHOD_FLAGS = {
-    "IC": {"degree"},
+    "IC": {"degree", "feature_dim_limit"},
     "KIC": {"degree", "C", "rho"},
     "KIC2": {"degree", "C", "alpha"},
     "KIC-RBF": {"sigma", "C", "rho"},
@@ -244,18 +245,25 @@ def _method_params(method: str, p: int, n: int, args) -> dict:
         params[flag] = value
     if method in ("KIC-RBF", "KIC-RBF2") and params["sigma"] is None:
         params["sigma"] = default_sigma(p, "KIC" if method == "KIC-RBF" else "KIC2")
-    if method == "IC":
-        params["feature_dim_limit"] = _resolve(
-            args, "feature_dim_limit", int, DEFAULT_FEATURE_DIM_LIMIT
-        )
     return params
 
 
+def _seed(args) -> int:
+    """The PRNG seed: command line, environment or 0; must be >= 0."""
+    seed = _resolve(args, "seed", int, 0)
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
 def _kernel(method: str, params: dict) -> KernelSpec:
-    """Polynomial kernel for KIC/KIC2, RBF for KIC-RBF/KIC-RBF2."""
-    if method.startswith("KIC-RBF"):
-        return KernelSpec.rbf(params["sigma"])
-    return KernelSpec.polynomial(params["degree"])
+    """Polynomial kernel for KIC/KIC2, RBF for KIC-RBF/KIC-RBF2; bad values are ConfigErrors."""
+    try:
+        if method.startswith("KIC-RBF"):
+            return KernelSpec.rbf(params["sigma"])
+        return KernelSpec.polynomial(params["degree"])
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _fit(method: str, X: np.ndarray, params: dict):
@@ -330,7 +338,7 @@ def _cmd_score(args) -> None:
     if not input_path or not output_path:
         raise ConfigError("score requires --input and --output")
     normalize_on = not _resolve(args, "no_normalize", bool, False)
-    seed = _resolve(args, "seed", int, 0)
+    seed = _seed(args)
 
     dm = _load_for_run(args, input_path, normalize_on)
     params = _method_params(method, dm.p, dm.n, args)
@@ -359,7 +367,7 @@ def _cmd_bench(args) -> None:
     if not output_path:
         raise ConfigError("bench requires --output")
     normalize_on = not _resolve(args, "no_normalize", bool, False)
-    seed = _resolve(args, "seed", int, 0)
+    seed = _seed(args)
     trials = _resolve(args, "trials", int, 30)
     if trials < 1:
         raise ConfigError("--trials must be >= 1")
@@ -430,7 +438,7 @@ def _cmd_synth(args) -> None:
             samples_per_cluster=_resolve(args, "samples_per_cluster", int, 194),
             num_outliers=_resolve(args, "outliers", int, 30),
             dimension=_resolve(args, "dimension", int, 1000),
-            seed=_resolve(args, "seed", int, 0),
+            seed=_seed(args),
             variance_repair=_resolve(args, "variance_repair", str, "abs"),
         )
     except ValueError as exc:
@@ -476,7 +484,7 @@ def _cmd_contour(args) -> None:
     except ValueError:
         raise ConfigError(f"invalid --grid value: {grid_spec!r}")
     normalize_on = not _resolve(args, "no_normalize", bool, False)
-    seed = _resolve(args, "seed", int, 0)
+    seed = _seed(args)
 
     dm = _load_for_run(args, input_path, normalize_on)
     if dm.p != 2:

@@ -92,6 +92,8 @@ class SynthGaussianConfig:
             raise ValueError("num_outliers must be nonnegative")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.variance_repair not in ("abs", "square"):
             raise ValueError("variance_repair must be 'abs' or 'square'")
 

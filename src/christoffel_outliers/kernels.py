@@ -87,20 +87,15 @@ def _mirror_upper(A: np.ndarray) -> np.ndarray:
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Evaluate the kernel on a single pair of points.
+    """Evaluate the kernel on a single pair of points: ``cross_vector`` on one row.
 
-    The evaluation order is identical for (x, y) and (y, x), so the result
-    is floating-point symmetric, not just symmetric up to rounding.
+    Each term of the sum is x_i y_i or (x_i - y_i)^2, summed in index order,
+    so the result is floating-point symmetric in (x, y), not just symmetric
+    up to rounding.
     """
     x = as_vector(x, "x")
-    y = as_vector(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: x has {x.shape[0]} entries, y has {y.shape[0]}")
-    if spec.family == POLYNOMIAL:
-        return float(_int_power(1.0 + float(np.dot(x, y)), spec.degree))
-    diff = x - y
-    sq = float(np.dot(diff, diff))
-    return float(np.exp(-sq / (2.0 * spec.lengthscale**2)))
+    g, _ = cross_vector(spec, x[None, :], as_vector(y, "y"))
+    return float(g[0])
 
 
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
@@ -130,11 +125,8 @@ def cross_vector(spec: KernelSpec, X, x) -> tuple[np.ndarray, float]:
             f"dimension mismatch: X has {X.shape[1]} features, x has {x.shape[0]}"
         )
     if spec.family == POLYNOMIAL:
-        g = _int_power(1.0 + X @ x, spec.degree)
         gamma = float(_int_power(1.0 + float(np.dot(x, x)), spec.degree))
-        return np.asarray(g, dtype=float), gamma
-    diff = X - x
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    g = np.exp(-d2 / (2.0 * spec.lengthscale**2))
-    return g, 1.0
+        return _int_power(1.0 + X @ x, spec.degree), gamma
+    d2 = cdist(X, x[None, :], "sqeuclidean")[:, 0]
+    return np.exp(-d2 / (2.0 * spec.lengthscale**2)), 1.0
 

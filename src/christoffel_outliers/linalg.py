@@ -103,11 +103,8 @@ def spd_factor(A, jitter_scales: tuple[float, ...] = JITTER_SCALES) -> SpdFactor
     raise NotPositiveDefiniteError("not positive definite")
 
 
-def spd_solve(factorization: SpdFactorization, b) -> np.ndarray:
-    """Solve (A + jitter I) x = b from a prior factorization.
-
-    ``b`` may be a vector or a matrix of stacked right-hand-side columns.
-    """
+def _forward(factorization: SpdFactorization, b) -> np.ndarray:
+    """L^{-1} b by forward substitution on the stored factor L."""
     b = np.asarray(b, dtype=float)
     if b.shape[0] != factorization.n:
         raise ValueError(
@@ -115,11 +112,19 @@ def spd_solve(factorization: SpdFactorization, b) -> np.ndarray:
         )
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs contains non-finite values")
-    # Two triangular solves on the stored factor: cho_solve would copy it to
-    # Fortran order and re-check it for finiteness on every call.
-    lower = factorization.lower
-    y = solve_triangular(lower, b, lower=True, check_finite=False)
-    return solve_triangular(lower, y, lower=True, trans="T", check_finite=False)
+    # The factor was checked when built; check_finite would re-scan it per call.
+    return solve_triangular(factorization.lower, b, lower=True, check_finite=False)
+
+
+def spd_solve(factorization: SpdFactorization, b) -> np.ndarray:
+    """Solve (A + jitter I) x = b from a prior factorization.
+
+    ``b`` may be a vector or a matrix of stacked right-hand-side columns.
+    """
+    # Triangular solves on the stored factor: cho_solve would copy it to
+    # Fortran order on every call.
+    y = _forward(factorization, b)
+    return solve_triangular(factorization.lower, y, lower=True, trans="T", check_finite=False)
 
 
 def _clamp_objective(value: float, gamma: float) -> float:
@@ -150,21 +155,20 @@ def ridge_objective(G, g, gamma: float, rho: float, theta) -> float:
     return _clamp_objective(value, gamma)
 
 
-def ridge_objective_from_factor(
-    factorization: SpdFactorization, g, gamma: float, theta
-) -> float:
-    """Same objective, with theta.(G + rho I) theta taken from the factor.
+def ridge_objective_from_factor(factorization: SpdFactorization, g, gamma: float) -> float:
+    """Optimal regularized distance gamma - g^T (rho I + G)^{-1} g from the factor.
 
-    The factorization must be of (rho I + G); the quadratic term is then
-    ||L^T theta||^2 minus the jitter correction.
+    The factorization must be of (rho I + G). With L L^T = rho I + G and
+    z = L^{-1} g the value is gamma - ||z||^2: one forward substitution. If
+    the factor carries jitter, it is of (rho I + G + jitter I); the value
+    then also subtracts jitter ||theta||^2 with theta = L^{-T} z, which is
+    the ridge objective at that theta. Clamped at zero.
     """
-    g = np.asarray(g, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    w = factorization.lower.T @ theta
-    quad = float(w @ w)
+    z = _forward(factorization, g)
+    value = gamma - float(z @ z)
     if factorization.jitter_applied:
-        quad -= factorization.jitter_applied * float(theta @ theta)
-    value = gamma - 2.0 * float(g @ theta) + quad
+        theta = solve_triangular(factorization.lower, z, lower=True, trans="T", check_finite=False)
+        value -= factorization.jitter_applied * float(theta @ theta)
     return _clamp_objective(value, gamma)
 
 

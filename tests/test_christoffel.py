@@ -23,7 +23,7 @@ from christoffel_outliers import (
     kic_scores_all,
     lowest_score_indices,
 )
-from christoffel_outliers import christoffel
+from christoffel_outliers import christoffel, linalg
 from christoffel_outliers.christoffel import FeatureMap, _ic_scores_from_map
 
 from helpers import explicit_phi
@@ -311,6 +311,28 @@ def test_kic2_builds_one_gram_per_stage(monkeypatch):
     X = np.random.default_rng(18).normal(size=(20, 2))
     kic2_scores(X, KernelSpec.rbf(1.0), 500.0, alpha=0.6)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("rho, solves_per_row", [(0.05, 1), (1e-20, 2)])
+def test_kic_scores_make_one_triangular_solve_per_row(monkeypatch, rho, solves_per_row):
+    # Without jitter a row costs one forward substitution; with jitter the
+    # back substitution for theta is added.
+    rng = np.random.default_rng(22)
+    X = np.repeat(rng.normal(size=(5, 2)) * 2.0, 2, axis=0)
+    model = fit_kic(X, KernelSpec.rbf(1.0), rho)
+    assert (model.factorization.jitter_applied > 0.0) == (solves_per_row == 2)
+    calls = []
+    real = linalg.solve_triangular
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "solve_triangular", counted)
+    Q = rng.normal(size=(7, 2)) * 2.0
+    scores = kic_scores(model, Q)
+    assert len(calls) == solves_per_row * Q.shape[0]
+    assert np.all(scores > 0.0)
 
 
 def test_kic2_excludes_far_outlier_from_refit():

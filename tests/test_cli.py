@@ -137,6 +137,11 @@ def test_score_config_error_for_mismatched_flag(tmp_path, capsys):
     ["--method", "KIC", "--rho", "-1"],
     ["--method", "KIC", "--C", "0"],
     ["--method", "IC", "--degree", "0"],
+    ["--method", "KIC", "--degree", "65"],
+    ["--method", "KIC2", "--degree", "65"],
+    ["--method", "KSP", "--seed", "-1"],
+    ["--method", "KIC", "--feature-dim-limit", "5"],
+    ["--method", "IC", "--feature-dim-limit", "0"],
 ])
 def test_score_out_of_range_hyperparameter_is_config_error(tmp_path, capsys, flags):
     data = _write_blobs(tmp_path)
@@ -363,6 +368,8 @@ def test_synth_roundtrip_and_determinism(tmp_path):
 
 def test_synth_bad_config(tmp_path):
     code = main(["synth", "--dimension", "0", "--output", str(tmp_path / "g.csv")])
+    assert code == EXIT_CONFIG
+    code = main(["synth", "--seed", "-1", "--output", str(tmp_path / "g.csv")])
     assert code == EXIT_CONFIG
 
 

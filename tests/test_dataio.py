@@ -245,3 +245,5 @@ def test_synth_config_validation():
         SynthGaussianConfig(dimension=0)
     with pytest.raises(ValueError):
         SynthGaussianConfig(variance_repair="clip")
+    with pytest.raises(ValueError):
+        SynthGaussianConfig(seed=-1)

@@ -5,10 +5,13 @@ from christoffel_outliers import (
     ConvergenceError,
     KernelSpec,
     NotPositiveDefiniteError,
+    SpdFactorization,
     cg_ridge_solve,
+    cross_vector,
     frobenius_norm,
     gram_matrix,
     ridge_objective,
+    ridge_objective_from_factor,
     spd_factor,
     spd_solve,
 )
@@ -190,6 +193,44 @@ def test_cg_validates_inputs():
         cg_ridge_solve(np.eye(2), np.ones(2), 1.0, rho=1.0, tol=0.0)
     with pytest.raises(ValueError):
         cg_ridge_solve(np.eye(2), np.ones(3), 1.0, rho=1.0)
+
+
+def test_objective_from_factor_matches_ridge_objective():
+    # One forward substitution gives the ridge objective at the solved theta.
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        n = int(rng.integers(2, 51))
+        G, g, gamma = random_spd_triple(rng, n)
+        rho = float(10.0 ** rng.uniform(-3, 0))
+        F = spd_factor(G + rho * np.eye(n))
+        assert F.jitter_applied == 0.0
+        reference = ridge_objective(G, g, gamma, rho, spd_solve(F, g))
+        assert abs(ridge_objective_from_factor(F, g, gamma) - reference) <= 1e-10 * gamma
+
+
+def test_objective_from_factor_matches_ridge_objective_with_jitter():
+    # Repeated rows and rho = 1e-20 leave rho I + G singular in double
+    # precision, so the factor carries jitter and the score subtracts its term.
+    rng = np.random.default_rng(21)
+    X = np.repeat(rng.normal(size=(4, 2)) * 2.0, 2, axis=0)
+    kernel = KernelSpec.rbf(1.0)
+    n = X.shape[0]
+    G = gram_matrix(kernel, X) / n
+    rho = 1e-20
+    F = spd_factor(G + rho * np.eye(n))
+    assert F.jitter_applied > 0.0
+    for x in rng.normal(size=(10, 2)) * 2.0:
+        g, gamma = cross_vector(kernel, X, x)
+        g = g / np.sqrt(n)
+        reference = ridge_objective(G, g, gamma, rho, spd_solve(F, g))
+        assert abs(ridge_objective_from_factor(F, g, gamma) - reference) <= 1e-10 * gamma
+    # There the jitter term is below the tolerance; a factor built with a
+    # large jitter on a well-conditioned system pins its value and sign.
+    G, g, gamma = random_spd_triple(rng, 6)
+    rho, jitter = 0.1, 0.5
+    F = SpdFactorization(np.linalg.cholesky(G + (rho + jitter) * np.eye(6)), jitter)
+    reference = ridge_objective(G, g, gamma, rho, spd_solve(F, g))
+    assert abs(ridge_objective_from_factor(F, g, gamma) - reference) <= 1e-10 * gamma
 
 
 def test_objective_clamped_at_zero_with_warning():
