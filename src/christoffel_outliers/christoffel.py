@@ -30,14 +30,14 @@ import numpy as np
 
 from ._validate import as_matrix, as_vector
 from .baselines import lowest_score_indices
-from .kernels import KernelSpec, cross_vector, gram_matrix
+from .kernels import KernelSpec, _kernel_row, gram_matrix
 from .linalg import (
     NotPositiveDefiniteError,
     SpdFactorization,
+    _forward,
     frobenius_norm,
     ridge_objective_from_factor,
     spd_factor,
-    spd_solve,
 )
 
 # Beyond this feature dimension a dense s x s solve is hopeless on desk
@@ -147,54 +147,48 @@ def build_feature_map(
 
 
 def apply_feature_map(fm: FeatureMap, x) -> np.ndarray:
-    """Evaluate the scaled monomial vector v(x)."""
+    """Evaluate the scaled monomial vector v(x): ``feature_matrix`` on one row."""
     x = as_vector(x, "x")
-    if x.shape[0] != fm.input_dim:
-        raise ValueError(
-            f"dimension mismatch: feature map expects {fm.input_dim} features, got {x.shape[0]}"
-        )
-    return _apply_rows(fm, x[None, :])[0]
-
-
-def _apply_rows(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
-    # (n, s, p) intermediate; chunk rows to bound memory for large maps.
-    n = X.shape[0]
-    s = fm.dimension
-    out = np.empty((n, s))
-    chunk = max(1, int(4_000_000 // max(1, s * fm.input_dim)))
-    for start in range(0, n, chunk):
-        block = X[start : start + chunk]
-        powers = block[:, None, :] ** fm.exponents[None, :, :]
-        out[start : start + chunk] = powers.prod(axis=2) * fm.coefficients
-    return out
+    return feature_matrix(fm, x[None, :])[0]
 
 
 def feature_matrix(fm: FeatureMap, X) -> np.ndarray:
-    """Stack v(x_i) for every row of X into an (n, s) matrix."""
+    """Stack v(x_i) for every row of X into an (n, s) matrix, in O(n s d) work."""
     X = as_matrix(X)
     if X.shape[1] != fm.input_dim:
         raise ValueError(
             f"dimension mismatch: feature map expects {fm.input_dim} features, got {X.shape[1]}"
         )
-    return _apply_rows(fm, X)
+    # A monomial has at most min(d, p) nonzero exponents. Put them first, in
+    # coordinate order, so that the product of their powers takes the same
+    # steps as a product over all p coordinates; x ** 0 = 1 pads the rest.
+    coords = np.argsort(fm.exponents == 0, axis=1, kind="stable")[:, : fm.degree]
+    powers = np.take_along_axis(fm.exponents, coords, axis=1)
+    out = np.ones((X.shape[0], fm.dimension))
+    for c, a in zip(coords.T, powers.T):
+        out *= X[:, c] ** a
+    return out * fm.coefficients
 
 
 def _ic_scores_from_map(fm: FeatureMap, X: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    n = X.shape[0]
+    # rank(M) is at most the number of distinct rows of X, so fewer distinct
+    # rows than monomials make M singular, however Cholesky rounds.
+    distinct = np.unique(X, axis=0).shape[0]
+    if distinct < fm.dimension:
+        raise MomentMatrixError(
+            f"moment matrix not positive definite: {distinct} distinct rows, "
+            f"fewer than the {fm.dimension} monomials of degree {fm.degree}"
+        )
     phi = feature_matrix(fm, X)
-    M = phi.T @ phi / n
-    M = 0.5 * (M + M.T)
     try:
-        factor = spd_factor(M, jitter_scales=())
+        factor = spd_factor(phi.T @ phi / X.shape[0], jitter_scales=())
     except NotPositiveDefiniteError as exc:
         raise MomentMatrixError(
             "moment matrix not positive definite; the data may lie on a "
             f"degree-{fm.degree} variety (need more points or a lower degree)"
         ) from exc
-    Q = feature_matrix(fm, queries)
-    solved = spd_solve(factor, Q.T)
-    scores = np.einsum("sm,sm->m", Q.T, solved)
-    return np.maximum(scores, 0.0)
+    Z = _forward(factor, feature_matrix(fm, queries).T)
+    return np.einsum("sm,sm->m", Z, Z)
 
 
 def ic_scores(
@@ -202,12 +196,13 @@ def ic_scores(
 ) -> np.ndarray:
     """Moment-matrix scores q(x) = v(x)^T M^{-1} v(x) for each query row.
 
-    The moment matrix is factorized without jitter: masking a singular M
-    would silently change every score, so degeneracy raises instead.
+    M = L L^T is factorized without jitter, since masking a singular M would
+    silently change every score; each score is ||L^{-1} v(x)||^2, from one
+    forward substitution for all queries.
 
     Raises:
         FeatureDimensionError: if the monomial basis exceeds ``dim_limit``.
-        MomentMatrixError: if M is not positive definite.
+        MomentMatrixError: if M is singular, as with fewer distinct rows than monomials.
     """
     X = as_matrix(X)
     queries = as_matrix(queries, "queries")
@@ -275,7 +270,8 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     g is scaled by 1/sqrt(n) and G by 1/n (the moment scaling); gamma is the
     raw self-kernel value. With the stored factor L L^T = rho I + G each
     value is gamma - ||L^{-1} g||^2, one forward substitution per row
-    (``ridge_objective_from_factor``), clamped at zero.
+    (``ridge_objective_from_factor``), clamped at zero. Q is checked here,
+    the training rows were checked by ``fit_kic``, and neither again per row.
 
     Rows are solved one at a time: a batched triangular solve rounds a
     column differently depending on its position in the block, and a row's
@@ -289,7 +285,7 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     scale = math.sqrt(model.n)
     scores = np.empty(Q.shape[0])
     for i, x in enumerate(Q):
-        g, gamma = cross_vector(model.kernel, model.training, x)
+        g, gamma = _kernel_row(model.kernel, model.training, x)
         scores[i] = ridge_objective_from_factor(model.factorization, g / scale, gamma)
     return scores
 

@@ -66,24 +66,41 @@ class KernelSpec:
 
 
 def _int_power(base, exponent: int):
-    """base**exponent by repeated squaring; elementwise on arrays."""
+    """base**exponent for an exponent >= 1 by repeated squaring; elementwise on arrays."""
     result = None
-    b = base
     e = int(exponent)
-    while e > 0:
+    while e:
         if e & 1:
-            result = b if result is None else result * b
+            result = base if result is None else result * base
         e >>= 1
         if e:
-            b = b * b
-    if result is None:  # exponent 0
-        return base * 0.0 + 1.0
+            base = base * base
     return result
 
 
 def _mirror_upper(A: np.ndarray) -> np.ndarray:
     """Copy the upper triangle onto the lower one for exact symmetry."""
     return np.triu(A) + np.triu(A, 1).T
+
+
+def _pairwise(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Inner products (polynomial) or squared distances (RBF) between rows of A and B."""
+    if spec.family == POLYNOMIAL:
+        return A @ B.T
+    return cdist(A, B, "sqeuclidean")
+
+
+def _transform(spec: KernelSpec, P):
+    """Kernel values from the elementwise pairwise quantities of ``_pairwise``."""
+    if spec.family == POLYNOMIAL:
+        return _int_power(1.0 + P, spec.degree)
+    return np.exp(-P / (2.0 * spec.lengthscale**2))
+
+
+def _kernel_row(spec: KernelSpec, X: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """``cross_vector`` without its checks, for inputs already validated."""
+    g = _transform(spec, _pairwise(spec, X, x[None, :])[:, 0])
+    return g, float(_transform(spec, _pairwise(spec, x[None, :], x[None, :])[0, 0]))
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
@@ -101,16 +118,11 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     """Pairwise kernel matrix of the rows of X (n x n, raw kernel values).
 
-    The upper triangle is computed and mirrored, so the result is exactly
-    symmetric. RBF diagonals are exactly 1.
+    The pairwise matrix is mirrored from its upper triangle before the
+    transform, so the result is exactly symmetric. RBF diagonals are exactly 1.
     """
     X = as_matrix(X)
-    if spec.family == POLYNOMIAL:
-        inner = _mirror_upper(X @ X.T)
-        return _int_power(1.0 + inner, spec.degree)
-    d2 = _mirror_upper(cdist(X, X, "sqeuclidean"))
-    np.fill_diagonal(d2, 0.0)
-    return np.exp(-d2 / (2.0 * spec.lengthscale**2))
+    return _transform(spec, _mirror_upper(_pairwise(spec, X, X)))
 
 
 def cross_vector(spec: KernelSpec, X, x) -> tuple[np.ndarray, float]:
@@ -124,9 +136,4 @@ def cross_vector(spec: KernelSpec, X, x) -> tuple[np.ndarray, float]:
         raise ValueError(
             f"dimension mismatch: X has {X.shape[1]} features, x has {x.shape[0]}"
         )
-    if spec.family == POLYNOMIAL:
-        gamma = float(_int_power(1.0 + float(np.dot(x, x)), spec.degree))
-        return _int_power(1.0 + X @ x, spec.degree), gamma
-    d2 = cdist(X, x[None, :], "sqeuclidean")[:, 0]
-    return np.exp(-d2 / (2.0 * spec.lengthscale**2)), 1.0
-
+    return _kernel_row(spec, X, x)

@@ -35,6 +35,12 @@ def explicit_moment_scores(X: np.ndarray, queries: np.ndarray, d: int) -> np.nda
     return np.einsum("ij,jk,ik->i", Q, Minv, Q)
 
 
+def power_feature_matrix(fm, X: np.ndarray) -> np.ndarray:
+    """Reference feature matrix: every coordinate raised to every exponent,
+    an (n, s, p) array of powers multiplied along p."""
+    return (X[:, None, :] ** fm.exponents).prod(axis=2) * fm.coefficients
+
+
 def random_spd_triple(rng: np.random.Generator, n: int):
     """A consistent kernel-style triple (G, g, gamma) with gamma >= g^T G^+ g,
     built from explicit factors so the ridge objective is nonnegative."""

@@ -23,10 +23,10 @@ from christoffel_outliers import (
     kic_scores_all,
     lowest_score_indices,
 )
-from christoffel_outliers import christoffel, linalg
+from christoffel_outliers import christoffel, kernels, linalg
 from christoffel_outliers.christoffel import FeatureMap, _ic_scores_from_map
 
-from helpers import explicit_phi
+from helpers import explicit_phi, power_feature_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +57,26 @@ def test_feature_map_dimension_limit():
         build_feature_map(784, 2)
     # 308505-dimensional basis for 784 features at degree 2
     assert math.comb(786, 2) == 308505
+
+
+def test_feature_matrix_matches_power_reference():
+    # The library skips the x ** 0 factors of the reference product. Each
+    # entry takes at most d + 1 roundings on either side, so a change in
+    # their order stays within 4 (d + 1) eps.
+    rng = np.random.default_rng(23)
+    eps = np.finfo(float).eps
+    for p in range(1, 6):
+        for d in range(1, 5):
+            X = rng.normal(size=(12, p))
+            fm = build_feature_map(p, d)
+            perm = rng.permutation(fm.dimension)
+            shuffled = FeatureMap(
+                exponents=fm.exponents[perm], coefficients=fm.coefficients[perm], degree=d
+            )
+            for m in (fm, shuffled):
+                ref = power_feature_matrix(m, X)
+                got = feature_matrix(m, X)
+                assert np.all(np.abs(got - ref) <= 4 * (d + 1) * eps * np.abs(ref))
 
 
 def test_apply_at_zero():
@@ -101,6 +121,34 @@ def test_ic_degenerate_data_raises_before_jitter_masks_it():
     # path must fire rather than jitter silently fixing it.
     with pytest.raises(MomentMatrixError, match="not positive definite"):
         ic_scores([[0.0]], [[0.0]], 1)
+
+
+@pytest.mark.parametrize(
+    "distinct, repeats, p, d",
+    [(5, 1, 2, 2), (9, 1, 3, 2), (5, 4, 2, 2), (3, 5, 1, 3)],
+)
+def test_ic_rejects_fewer_distinct_rows_than_monomials(distinct, repeats, p, d):
+    # rank(M) <= distinct rows < binomial(p + d, d): M is singular, even when
+    # rounding lets its Cholesky factorization succeed. With repeats the
+    # row count n reaches the basis size; the distinct count does not.
+    X = np.repeat(np.random.default_rng(2).normal(size=(distinct, p)), repeats, axis=0)
+    with pytest.raises(MomentMatrixError, match="not positive definite"):
+        ic_scores(X, X, d)
+
+
+def test_ic_scores_make_one_triangular_solve(monkeypatch):
+    calls = []
+    real = linalg.solve_triangular
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "solve_triangular", counted)
+    rng = np.random.default_rng(24)
+    scores = ic_scores(rng.normal(size=(30, 2)), rng.normal(size=(9, 2)), 2)
+    assert len(calls) == 1
+    assert scores.shape == (9,) and np.all(scores > 0.0)
 
 
 def test_ic_symmetric_two_point_hand_case():
@@ -333,6 +381,22 @@ def test_kic_scores_make_one_triangular_solve_per_row(monkeypatch, rho, solves_p
     scores = kic_scores(model, Q)
     assert len(calls) == solves_per_row * Q.shape[0]
     assert np.all(scores > 0.0)
+
+
+def test_kic_scores_do_not_revalidate_training_rows(monkeypatch):
+    # fit_kic checked the training matrix; scoring m rows must not re-scan it.
+    rng = np.random.default_rng(25)
+    model = fit_kic(rng.normal(size=(20, 3)), KernelSpec.polynomial(2), 0.05)
+    calls = []
+    real = kernels.as_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "as_matrix", counted)
+    kic_scores(model, rng.normal(size=(6, 3)))
+    assert calls == []
 
 
 def test_kic2_excludes_far_outlier_from_refit():
