@@ -347,6 +347,6 @@ def _grid_axis(rng: tuple[float, float, int], name: str) -> np.ndarray:
     steps = int(steps)
     if steps < 2:
         raise ValueError(f"{name} must request at least 2 steps")
-    if not hi > lo:
-        raise ValueError(f"{name} must have hi > lo")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ValueError(f"{name} must have finite bounds with hi > lo")
     return np.linspace(float(lo), float(hi), steps)

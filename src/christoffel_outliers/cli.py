@@ -31,6 +31,7 @@ from .christoffel import (
     DEFAULT_FEATURE_DIM_LIMIT,
     FeatureDimensionError,
     MomentMatrixError,
+    _grid_axis,
     default_sigma,
     fit_kic,
     grid_scores,
@@ -362,6 +363,10 @@ def _cmd_bench(args) -> None:
         raise ConfigError("bench requires --method")
     if not inputs:
         raise ConfigError("bench requires --input")
+    resolved = [Path(path).resolve() for path in inputs]
+    for i, path in enumerate(inputs):
+        if resolved[i] in resolved[:i]:
+            raise ConfigError(f"bench input {path} names a dataset already given")
     _check_method_flags(args, methods)
     output_path = _resolve(args, "output", str, None)
     if not output_path:
@@ -475,14 +480,14 @@ def _cmd_contour(args) -> None:
         raise ConfigError("contour requires --input and --output")
     if not grid_spec:
         raise ConfigError("contour requires --grid x_lo,x_hi,x_steps,y_lo,y_hi,y_steps")
-    parts = [part.strip() for part in str(grid_spec).split(",")]
-    if len(parts) != 6:
-        raise ConfigError("--grid expects 6 comma-separated values")
     try:
-        x_lo, x_hi, y_lo, y_hi = map(float, (parts[0], parts[1], parts[3], parts[4]))
-        x_steps, y_steps = int(parts[2]), int(parts[5])
-    except ValueError:
-        raise ConfigError(f"invalid --grid value: {grid_spec!r}")
+        x_lo, x_hi, x_steps, y_lo, y_hi, y_steps = str(grid_spec).split(",")
+        x_range = (float(x_lo), float(x_hi), int(x_steps))
+        y_range = (float(y_lo), float(y_hi), int(y_steps))
+        _grid_axis(x_range, "its x range")
+        _grid_axis(y_range, "its y range")
+    except ValueError as exc:
+        raise ConfigError(f"invalid --grid {grid_spec!r}: {exc}")
     normalize_on = not _resolve(args, "no_normalize", bool, False)
     seed = _seed(args)
 
@@ -491,12 +496,12 @@ def _cmd_contour(args) -> None:
         raise ConfigError(f"contour requires 2-feature data, got p={dm.p}")
     params = _method_params(method, dm.p, dm.n, args)
     model = _fit(method, dm.values, params)
-    xs, ys, scores = grid_scores(model, (x_lo, x_hi, x_steps), (y_lo, y_hi, y_steps))
+    xs, ys, scores = grid_scores(model, x_range, y_range)
 
     meta = _base_meta("contour", normalize_on, seed)
     meta.append(("method", method))
     meta.append(("input", str(input_path)))
-    meta.append(("grid", f"{x_lo},{x_hi},{x_steps},{y_lo},{y_hi},{y_steps}"))
+    meta.append(("grid", ",".join(map(str, x_range + y_range))))
     for key in sorted(params):
         meta.append((key, str(params[key])))
     lines = _meta_lines(meta)

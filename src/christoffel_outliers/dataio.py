@@ -1,9 +1,10 @@
 """Dataset ingestion, normalization, class labeling and the synthetic benchmark.
 
 CSV is the only ingestion format: comma-delimited by default, optional
-header (auto-detected by trying to parse the first row as numbers),
-'#'-prefixed comment lines skipped, label column selected by name or
-zero-based index. Real datasets are the user's to supply; this module only
+header (the first non-comment row is a header when one of its cells is not
+a number), '#'-prefixed comment lines skipped, label column selected by
+name or zero-based index. A file is read in one pass, one numpy conversion
+per data row. Real datasets are the user's to supply; this module only
 prepares them and generates the synthetic Gaussian benchmark.
 """
 
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from ._validate import as_matrix
 
 # Columns whose standard deviation is this small relative to their mean are
 # treated as constant and mapped to zero instead of being amplified.
@@ -44,11 +47,7 @@ class DataMatrix:
     provenance: str = ""
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
-            raise ValueError(f"values must be a non-empty 2-d matrix, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values contain non-finite entries")
+        self.values = as_matrix(self.values, "values")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
             if self.labels.shape != (self.values.shape[0],):
@@ -98,13 +97,6 @@ class SynthGaussianConfig:
             raise ValueError("variance_repair must be 'abs' or 'square'")
 
 
-def _parse_float(cell: str) -> float:
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError("non-finite")
-    return value
-
-
 def load_csv(
     path,
     label_column: str | int | None = None,
@@ -112,90 +104,90 @@ def load_csv(
 ) -> DataMatrix:
     """Load a rectangular numeric CSV, optionally splitting out a label column.
 
-    A header row is assumed when the first non-comment row fails to parse
-    as numbers. Labels must be 0/1. Errors name the offending file row
-    (1-based, counting comment and header lines) and column.
+    The file is read in one pass. The first non-comment row is a header when
+    one of its cells does not parse as a number. Each data row is converted
+    with one numpy call as it is read, so cells parse as Python ``float``
+    does; ``nan`` and ``inf`` are rejected. Labels must be 0/1. Errors name
+    the offending file row (1-based, counting comment, blank and header
+    lines) and column.
     """
     path = Path(path)
-    rows: list[tuple[int, list[str]]] = []
+    header: list[str] | None = None
+    width = label_idx = None
+    rows: list[np.ndarray] = []
     with open(path, newline="", encoding="utf-8") as handle:
         for lineno, row in enumerate(csv.reader(handle, delimiter=delimiter), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if row[0].lstrip().startswith("#"):
                 continue
-            rows.append((lineno, row))
+            if width is None:
+                width = len(row)
+                try:
+                    np.array(row, dtype=float)
+                except ValueError:
+                    header = [cell.strip() for cell in row]
+                label_idx = _label_index(path, label_column, header, width)
+                if header is not None:
+                    continue
+            if len(row) != width:
+                raise CsvFormatError(
+                    f"{path}: ragged row {lineno}: expected {width} columns, found {len(row)}"
+                )
+            try:
+                parsed = np.array(row, dtype=float)
+            except ValueError:
+                parsed = None
+            if parsed is None or not np.isfinite(parsed).all():
+                cell, col = next((c, i) for i, c in enumerate(row) if not _is_finite_number(c))
+                raise CsvFormatError(
+                    f"{path}: value {cell.strip()!r} at row {lineno}, column {col + 1} is not a finite number"
+                )
+            if label_idx is not None and parsed[label_idx] not in (0.0, 1.0):
+                raise CsvFormatError(
+                    f"{path}: label value {row[label_idx].strip()!r} at row {lineno} is not binary 0/1"
+                )
+            rows.append(parsed)
     if not rows:
+        if header is not None:
+            raise CsvFormatError(f"{path}: header but no data rows")
         raise CsvFormatError(f"{path}: no data rows found")
 
-    header: list[str] | None = None
-    first = rows[0][1]
+    values = np.array(rows)
+    labels = None
+    if label_idx is not None:
+        labels = values[:, label_idx].astype(int)
+        values = np.delete(values, label_idx, axis=1)
+        if header is not None:
+            del header[label_idx]
+    return DataMatrix(values=values, labels=labels, feature_names=header, provenance=f"csv:{path}")
+
+
+def _label_index(path: Path, label_column, header: list[str] | None, width: int) -> int | None:
+    """Zero-based index of the label column, given by name or index, or None."""
+    if label_column is None:
+        return None
     try:
-        for cell in first:
-            _parse_float(cell)
+        label_idx = int(label_column)
     except ValueError:
-        header = [cell.strip() for cell in first]
-        rows = rows[1:]
-        if not rows:
-            raise CsvFormatError(f"{path}: header but no data rows")
-
-    width = len(header) if header is not None else len(rows[0][1])
-    label_idx: int | None = None
-    if label_column is not None:
-        if isinstance(label_column, str):
-            try:
-                label_idx = int(label_column)
-            except ValueError:
-                if header is None:
-                    raise CsvFormatError(
-                        f"{path}: label column {label_column!r} requested by name but the file has no header"
-                    )
-                if label_column not in header:
-                    raise CsvFormatError(
-                        f"{path}: label column {label_column!r} not found in header {header}"
-                    )
-                label_idx = header.index(label_column)
-        else:
-            label_idx = int(label_column)
-        if not 0 <= label_idx < width:
+        if header is None:
             raise CsvFormatError(
-                f"{path}: label column index {label_idx} out of range for {width} columns"
+                f"{path}: label column {label_column!r} requested by name but the file has no header"
             )
+        if label_column not in header:
+            raise CsvFormatError(f"{path}: label column {label_column!r} not found in header {header}")
+        label_idx = header.index(label_column)
+    if not 0 <= label_idx < width:
+        raise CsvFormatError(f"{path}: label column index {label_idx} out of range for {width} columns")
+    return label_idx
 
-    values: list[list[float]] = []
-    labels: list[int] = []
-    for lineno, row in rows:
-        if len(row) != width:
-            raise CsvFormatError(
-                f"{path}: ragged row {lineno}: expected {width} columns, found {len(row)}"
-            )
-        parsed: list[float] = []
-        for col, cell in enumerate(row):
-            try:
-                value = _parse_float(cell)
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: non-numeric value {cell.strip()!r} at row {lineno}, column {col + 1}"
-                )
-            if col == label_idx:
-                if value not in (0.0, 1.0):
-                    raise CsvFormatError(
-                        f"{path}: label value {cell.strip()!r} at row {lineno} is not binary 0/1"
-                    )
-                labels.append(int(value))
-            else:
-                parsed.append(value)
-        values.append(parsed)
 
-    names: list[str] | None = None
-    if header is not None:
-        names = [h for i, h in enumerate(header) if i != label_idx]
-    return DataMatrix(
-        values=np.array(values, dtype=float),
-        labels=np.array(labels, dtype=int) if label_idx is not None else None,
-        feature_names=names,
-        provenance=f"csv:{path}",
-    )
+def _is_finite_number(cell: str) -> bool:
+    """Whether ``cell`` parses as a finite float; used only to locate a bad cell."""
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
 
 
 def normalize(dm: DataMatrix) -> DataMatrix:

@@ -303,6 +303,17 @@ def test_bench_marks_unavailable_methods_with_dash(tmp_path):
     assert np.isnan(aggregates["average"]["IC"])
 
 
+def test_bench_rejects_repeated_input(tmp_path, capsys):
+    data = _write_blobs(tmp_path)
+    for again in (str(data), str(tmp_path / "." / data.name)):
+        out = tmp_path / "b.csv"
+        code = main(["bench", "--method", "KNN", "--input", str(data), "--input", again,
+                     "--label-column", "outlier", "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert "already given" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_bench_requires_labels(tmp_path, capsys):
     data = _write_line_dataset(tmp_path)
     code = main(["bench", "--method", "KNN", "--input", str(data),
@@ -443,3 +454,10 @@ def test_contour_requires_grid(tmp_path):
     code = main(["contour", "--method", "KIC", "--input", str(data),
                  "--output", str(tmp_path / "g.csv")])
     assert code == EXIT_CONFIG
+    # An invalid grid is rejected before the input is read, so a missing
+    # input does not turn it into an I/O error.
+    for grid in ("1,-1,10,-1,1,10", "-1,1,1,-1,1,10", "-1,1,10,-1,1,1",
+                 "-inf,1,10,-1,1,10", "-1,1,10,nan,1,10", "-1,1,10", "-1,1,x,-1,1,10"):
+        code = main(["contour", "--method", "KIC", "--input", str(tmp_path / "none.csv"),
+                     f"--grid={grid}", "--output", str(tmp_path / "g.csv")])
+        assert code == EXIT_CONFIG, grid

@@ -23,6 +23,10 @@ def test_datamatrix_validation():
     with pytest.raises(ValueError):
         DataMatrix(values=np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
+        DataMatrix(values=np.array([[1.0, -np.inf]]))
+    with pytest.raises(ValueError):
+        DataMatrix(values=np.ones(3))
+    with pytest.raises(ValueError):
         DataMatrix(values=np.ones((2, 2)), labels=np.array([1]))
     with pytest.raises(ValueError):
         DataMatrix(values=np.ones((2, 2)), labels=np.array([0, 2]))
@@ -40,6 +44,12 @@ def test_load_plain_numeric(tmp_path):
     assert np.array_equal(dm.values, [[1.5, 2.5], [-3.0, 4.0]])
     assert dm.labels is None
     assert dm.feature_names is None
+    # Cells parse as Python float parses them, quotes removed by the CSV reader.
+    odd = tmp_path / "odd.csv"
+    odd.write_text(' 1.5,+.5,1e5,1_0,"2.5"\n0,0,0,0,0\n')
+    dm = load_csv(odd)
+    assert dm.feature_names is None
+    assert dm.values[0].tolist() == [float(c) for c in (" 1.5", "+.5", "1e5", "1_0", "2.5")]
 
 
 def test_load_with_header_and_labels(tmp_path):
@@ -60,10 +70,21 @@ def test_load_label_by_index(tmp_path):
 
 
 def test_load_non_numeric_cell_names_row(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1.0,2.0\n3.0,4.0\n5.0,oops\n")
-    with pytest.raises(CsvFormatError, match="row 3"):
-        load_csv(path)
+    # Row numbers count comment, blank and header lines. nan and inf are
+    # rejected in any row; a first row holding one is not a header.
+    cases = [
+        ("1.0,2.0\n3.0,4.0\n5.0,oops\n", "row 3, column 2"),
+        ("1.0,nan\n2,3\n4,5\n7,1\n", "row 1, column 2"),
+        ("inf,1.0\n2,3\n", "row 1, column 1"),
+        ("1.0,2.0\n3.0,-inf\n", "row 2, column 2"),
+        ("# note\n\n1.0,2.0\n3.0,NaN\n", "row 4, column 2"),
+        ("a,b\n# note\n1.0,2.0\n\n3.0,x\n", "row 5, column 2"),
+    ]
+    for i, (text, where) in enumerate(cases):
+        path = tmp_path / f"bad{i}.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=where):
+            load_csv(path)
 
 
 def test_load_ragged_row(tmp_path):
@@ -96,6 +117,10 @@ def test_load_rejects_non_binary_labels(tmp_path):
     path.write_text("f1,y\n1.0,2\n")
     with pytest.raises(CsvFormatError, match="not binary"):
         load_csv(path, label_column="y")
+    later = tmp_path / "badlabel_later.csv"
+    later.write_text("f1,y\n1.0,0\n# note\n\n2.0,1\n3.0,2\n")
+    with pytest.raises(CsvFormatError, match="'2' at row 6 is not binary"):
+        load_csv(later, label_column="y")
 
 
 def test_load_custom_delimiter(tmp_path):
