@@ -24,19 +24,20 @@ as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._validate import as_matrix, as_vector
 from .baselines import lowest_score_indices
-from .kernels import KernelSpec, _kernel_row, gram_matrix
+from .kernels import KernelSpec, _kernel_row, _row_basis, gram_matrix
 from .linalg import (
     NotPositiveDefiniteError,
     SpdFactorization,
+    _clamp_objective,
     _forward,
+    _objective,
     frobenius_norm,
-    ridge_objective_from_factor,
     spd_factor,
 )
 
@@ -90,6 +91,12 @@ class ChristoffelModel:
     rho: float
     training: np.ndarray
     factorization: SpdFactorization
+    # What a kernel row needs of the training rows (``kernels._row_basis``):
+    # for RBF the centred rows, their mean and their squared norms.
+    _basis: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_basis", _row_basis(self.kernel, self.training))
 
     @property
     def n(self) -> int:
@@ -269,13 +276,15 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
 
     g is scaled by 1/sqrt(n) and G by 1/n (the moment scaling); gamma is the
     raw self-kernel value. With the stored factor L L^T = rho I + G each
-    value is gamma - ||L^{-1} g||^2, one forward substitution per row
-    (``ridge_objective_from_factor``), clamped at zero. Q is checked here,
-    the training rows were checked by ``fit_kic``, and neither again per row.
+    value is gamma - ||L^{-1} g||^2: one matrix-vector product for the
+    kernel row and one BLAS triangular solve per row. The values are
+    clamped at zero together at the end. Q is checked here, each kernel row
+    for finiteness once, and the training rows were checked by ``fit_kic``.
 
-    Rows are solved one at a time: a batched triangular solve rounds a
-    column differently depending on its position in the block, and a row's
-    score must not depend on the rows scored with it.
+    Rows are solved one at a time, and each kernel row is computed on its
+    own: a batched solve or a matrix product rounds a column differently
+    depending on its position in the block, and a row's score must not
+    depend on the rows scored with it.
     """
     Q = as_matrix(Q, "Q")
     if Q.shape[1] != model.p:
@@ -283,11 +292,12 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
             f"dimension mismatch: model expects {model.p} features, got {Q.shape[1]}"
         )
     scale = math.sqrt(model.n)
-    scores = np.empty(Q.shape[0])
+    values = np.empty(Q.shape[0])
+    gammas = np.empty(Q.shape[0])
     for i, x in enumerate(Q):
-        g, gamma = _kernel_row(model.kernel, model.training, x)
-        scores[i] = ridge_objective_from_factor(model.factorization, g / scale, gamma)
-    return scores
+        g, gammas[i] = _kernel_row(model.kernel, model._basis, x)
+        values[i] = _objective(model.factorization, g / scale, gammas[i])
+    return _clamp_objective(values, gammas)
 
 
 def kic_score(model: ChristoffelModel, x) -> float:

@@ -107,14 +107,16 @@ def load_csv(
     The file is read in one pass. The first non-comment row is a header when
     one of its cells does not parse as a number. Each data row is converted
     with one numpy call as it is read, so cells parse as Python ``float``
-    does; ``nan`` and ``inf`` are rejected. Labels must be 0/1. Errors name
-    the offending file row (1-based, counting comment, blank and header
-    lines) and column.
+    does; finiteness (``nan`` and ``inf`` are rejected) and the 0/1 labels
+    are checked once on the stacked values. Errors name the first offending
+    file row (1-based, counting comment, blank and header lines) and, for a
+    bad cell, its column.
     """
     path = Path(path)
     header: list[str] | None = None
     width = label_idx = None
     rows: list[np.ndarray] = []
+    linenos: list[int] = []
     with open(path, newline="", encoding="utf-8") as handle:
         for lineno, row in enumerate(csv.reader(handle, delimiter=delimiter), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -130,30 +132,26 @@ def load_csv(
                 label_idx = _label_index(path, label_column, header, width)
                 if header is not None:
                     continue
-            if len(row) != width:
-                raise CsvFormatError(
-                    f"{path}: ragged row {lineno}: expected {width} columns, found {len(row)}"
-                )
             try:
-                parsed = np.array(row, dtype=float)
+                parsed = np.array(row, dtype=float) if len(row) == width else None
             except ValueError:
                 parsed = None
-            if parsed is None or not np.isfinite(parsed).all():
-                cell, col = next((c, i) for i, c in enumerate(row) if not _is_finite_number(c))
-                raise CsvFormatError(
-                    f"{path}: value {cell.strip()!r} at row {lineno}, column {col + 1} is not a finite number"
-                )
-            if label_idx is not None and parsed[label_idx] not in (0.0, 1.0):
-                raise CsvFormatError(
-                    f"{path}: label value {row[label_idx].strip()!r} at row {lineno} is not binary 0/1"
-                )
+            if parsed is None:
+                if rows:  # an earlier row's fault comes first in file order
+                    _check_rows(path, delimiter, rows, linenos, label_idx)
+                if len(row) != width:
+                    raise CsvFormatError(
+                        f"{path}: ragged row {lineno}: expected {width} columns, found {len(row)}"
+                    )
+                raise _bad_cell(path, lineno, row)
             rows.append(parsed)
+            linenos.append(lineno)
     if not rows:
         if header is not None:
             raise CsvFormatError(f"{path}: header but no data rows")
         raise CsvFormatError(f"{path}: no data rows found")
 
-    values = np.array(rows)
+    values = _check_rows(path, delimiter, rows, linenos, label_idx)
     labels = None
     if label_idx is not None:
         labels = values[:, label_idx].astype(int)
@@ -161,6 +159,38 @@ def load_csv(
         if header is not None:
             del header[label_idx]
     return DataMatrix(values=values, labels=labels, feature_names=header, provenance=f"csv:{path}")
+
+
+def _check_rows(
+    path: Path, delimiter: str, rows: list[np.ndarray], linenos: list[int], label_idx
+) -> np.ndarray:
+    """Stack the parsed rows and check every value finite and every label 0/1.
+
+    On a failure the file is read again up to the first failing row, whose
+    cells the error message quotes. Returns the stacked values.
+    """
+    values = np.array(rows)
+    finite = np.isfinite(values).all(axis=1)
+    ok = finite if label_idx is None else finite & np.isin(values[:, label_idx], (0.0, 1.0))
+    if ok.all():
+        return values
+    k = int(np.argmin(ok))
+    with open(path, newline="", encoding="utf-8") as handle:
+        lines = enumerate(csv.reader(handle, delimiter=delimiter), start=1)
+        row = next(cells for lineno, cells in lines if lineno == linenos[k])
+    if not finite[k]:
+        raise _bad_cell(path, linenos[k], row)
+    raise CsvFormatError(
+        f"{path}: label value {row[label_idx].strip()!r} at row {linenos[k]} is not binary 0/1"
+    )
+
+
+def _bad_cell(path: Path, lineno: int, row: list[str]) -> CsvFormatError:
+    """The error for the first cell of ``row`` that is not a finite number."""
+    cell, col = next((c, i) for i, c in enumerate(row) if not _is_finite_number(c))
+    return CsvFormatError(
+        f"{path}: value {cell.strip()!r} at row {lineno}, column {col + 1} is not a finite number"
+    )
 
 
 def _label_index(path: Path, label_column, header: list[str] | None, width: int) -> int | None:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsv
 
 # Jitter multiples of ||A||_F / sqrt(n), escalated only after a plain
 # factorization fails.
@@ -127,16 +128,22 @@ def spd_solve(factorization: SpdFactorization, b) -> np.ndarray:
     return solve_triangular(factorization.lower, y, lower=True, trans="T", check_finite=False)
 
 
-def _clamp_objective(value: float, gamma: float) -> float:
-    if value < 0.0:
-        if value < -_CLAMP_WARN_TOL * abs(gamma):
-            warnings.warn(
-                f"ridge objective {value:.3e} clamped to 0 (gamma={gamma:.3e})",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return 0.0
-    return value
+def _clamp_objective(values, gammas):
+    """Objective values with every negative one set to 0, elementwise over matching shapes.
+
+    A value below -_CLAMP_WARN_TOL * |gamma| is more than rounding, and
+    each such value warns.
+    """
+    values = np.asarray(values, dtype=float)
+    gammas = np.asarray(gammas, dtype=float)
+    warned = values < -_CLAMP_WARN_TOL * np.abs(gammas)
+    for value, gamma in zip(values[warned], gammas[warned]):
+        warnings.warn(
+            f"ridge objective {value:.3e} clamped to 0 (gamma={gamma:.3e})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return np.where(values < 0.0, 0.0, values)
 
 
 def ridge_objective(G, g, gamma: float, rho: float, theta) -> float:
@@ -152,7 +159,7 @@ def ridge_objective(G, g, gamma: float, rho: float, theta) -> float:
     theta = np.asarray(theta, dtype=float)
     quad = float(theta @ (G @ theta)) + rho * float(theta @ theta)
     value = gamma - 2.0 * float(g @ theta) + quad
-    return _clamp_objective(value, gamma)
+    return float(_clamp_objective(value, gamma))
 
 
 def ridge_objective_from_factor(factorization: SpdFactorization, g, gamma: float) -> float:
@@ -164,12 +171,31 @@ def ridge_objective_from_factor(factorization: SpdFactorization, g, gamma: float
     then also subtracts jitter ||theta||^2 with theta = L^{-T} z, which is
     the ridge objective at that theta. Clamped at zero.
     """
-    z = _forward(factorization, g)
+    g = np.asarray(g, dtype=float)
+    if g.shape != (factorization.n,):
+        raise ValueError(
+            f"dimension mismatch: factorization is {factorization.n}, rhs has shape {g.shape}"
+        )
+    return float(_clamp_objective(_objective(factorization, g, gamma), gamma))
+
+
+def _objective(factorization: SpdFactorization, g: np.ndarray, gamma: float) -> float:
+    """``ridge_objective_from_factor`` before the clamp, for a float vector g of length n.
+
+    g is checked for finiteness only. BLAS trsv runs directly on L^T, an
+    F-ordered view of the stored factor: no copy, and none of
+    ``solve_triangular``'s argument handling, which at a few hundred rows
+    costs as much as the solve.
+    """
+    if not np.isfinite(g).all():
+        raise ValueError("rhs contains non-finite values")
+    upper = factorization.lower.T
+    z = dtrsv(upper, g, lower=0, trans=1)
     value = gamma - float(z @ z)
     if factorization.jitter_applied:
-        theta = solve_triangular(factorization.lower, z, lower=True, trans="T", check_finite=False)
+        theta = dtrsv(upper, z, lower=0, trans=0)
         value -= factorization.jitter_applied * float(theta @ theta)
-    return _clamp_objective(value, gamma)
+    return value
 
 
 def cg_ridge_solve(
@@ -209,7 +235,7 @@ def cg_ridge_solve(
         # No data coupling: the minimizer is theta = 0 with value gamma.
         return RidgeSolution(
             theta=np.zeros(n),
-            objective_value=_clamp_objective(gamma, gamma),
+            objective_value=float(_clamp_objective(gamma, gamma)),
             iterations=0,
             residual_norm=0.0,
         )

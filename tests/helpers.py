@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from christoffel_outliers import apply_feature_map, build_feature_map, feature_matrix
 
@@ -33,6 +34,21 @@ def explicit_moment_scores(X: np.ndarray, queries: np.ndarray, d: int) -> np.nda
     Minv = np.linalg.inv(M)
     Q = feature_matrix(fm, queries)
     return np.einsum("ij,jk,ik->i", Q, Minv, Q)
+
+
+def cdist_rbf(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
+    """RBF kernel values between the rows of A and B from direct distances,
+    sum_k (a_k - b_k)^2, which lose nothing to an offset shared by the rows."""
+    return np.exp(-cdist(A, B, "sqeuclidean") / (2.0 * sigma**2))
+
+
+def cdist_rbf_scores(X: np.ndarray, queries: np.ndarray, sigma: float, rho: float) -> np.ndarray:
+    """Kernelized RBF scores 1 - g^T (rho I + G/n)^{-1} g with g the scaled
+    ``cdist_rbf`` column of each query, from one dense solve."""
+    n = X.shape[0]
+    K = cdist_rbf(X, queries, sigma) / math.sqrt(n)
+    S = np.linalg.solve(rho * np.eye(n) + cdist_rbf(X, X, sigma) / n, K)
+    return 1.0 - np.einsum("ij,ij->j", K, S)
 
 
 def power_feature_matrix(fm, X: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from christoffel_outliers import (
 from christoffel_outliers import christoffel, kernels, linalg
 from christoffel_outliers.christoffel import FeatureMap, _ic_scores_from_map
 
-from helpers import explicit_phi, power_feature_matrix
+from helpers import cdist_rbf, cdist_rbf_scores, explicit_phi, power_feature_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -364,22 +364,26 @@ def test_kic2_builds_one_gram_per_stage(monkeypatch):
 @pytest.mark.parametrize("rho, solves_per_row", [(0.05, 1), (1e-20, 2)])
 def test_kic_scores_make_one_triangular_solve_per_row(monkeypatch, rho, solves_per_row):
     # Without jitter a row costs one forward substitution; with jitter the
-    # back substitution for theta is added.
+    # back substitution for theta is added. Each call runs on the stored
+    # factor itself, never on a per-row copy.
     rng = np.random.default_rng(22)
     X = np.repeat(rng.normal(size=(5, 2)) * 2.0, 2, axis=0)
     model = fit_kic(X, KernelSpec.rbf(1.0), rho)
     assert (model.factorization.jitter_applied > 0.0) == (solves_per_row == 2)
     calls = []
-    real = linalg.solve_triangular
+    real = linalg.dtrsv
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "solve_triangular", counted)
+    monkeypatch.setattr(linalg, "dtrsv", counted)
     Q = rng.normal(size=(7, 2)) * 2.0
     scores = kic_scores(model, Q)
     assert len(calls) == solves_per_row * Q.shape[0]
+    for matrix, *_ in calls:
+        assert matrix.flags.f_contiguous
+        assert np.shares_memory(matrix, model.factorization.lower)
     assert np.all(scores > 0.0)
 
 
@@ -509,6 +513,47 @@ def test_every_scoring_path_matches_per_point_at_benchmark_scale(kernel):
     xs, ys, Z = grid_scores(model, (-3.0, 3.0, 9), (-2.0, 2.0, 7))
     expected = per_point([(xv, yv) for yv in ys for xv in xs]).reshape(7, 9)
     assert np.array_equal(Z, expected)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
+def test_rbf_is_exact_far_from_the_origin(offset):
+    # ||a||^2 + ||b||^2 - 2 a.b on raw rows cancels the offset's digits;
+    # on centred rows Gram, scores and grid keep to direct distances.
+    rng = np.random.default_rng(26)
+    X = rng.normal(size=(60, 2)) + offset
+    sigma, rho = 0.8, 0.01
+    kernel = KernelSpec.rbf(sigma)
+    model = fit_kic(X, kernel, rho)
+
+    def assert_close(got, ref):
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-9
+
+    assert_close(gram_matrix(kernel, X), cdist_rbf(X, X, sigma))
+    Q = np.vstack([X[:5], rng.normal(size=(10, 2)) * 1.5 + offset])
+    assert_close(kic_scores(model, Q), cdist_rbf_scores(X, Q, sigma, rho))
+    xs, ys, Z = grid_scores(
+        model, (offset - 3.0, offset + 3.0, 7), (offset - 2.0, offset + 2.0, 5)
+    )
+    grid = np.array([(xv, yv) for yv in ys for xv in xs])
+    assert_close(Z.ravel(), cdist_rbf_scores(X, grid, sigma, rho))
+
+
+@pytest.mark.parametrize(
+    "kernel, p",
+    [(KernelSpec.polynomial(2), 3), (KernelSpec.polynomial(2), 20), (KernelSpec.rbf(1.5), 5)],
+)
+def test_training_scores_match_ridge_leverage(kernel, p):
+    # For a training row, phi_j = n rho (1 - rho [(G/n + rho I)^-1]_jj), the
+    # ridge leverage: a second derivation of the scores that neither forms
+    # gamma - ||z||^2 nor clamps.
+    rng = np.random.default_rng(27)
+    n = 300
+    X = rng.normal(size=(n, p))
+    rho = fit_kic(X, kernel, C=500.0).rho
+    inverse = np.linalg.inv(gram_matrix(kernel, X) / n + rho * np.eye(n))
+    leverage = n * rho * (1.0 - rho * np.diag(inverse))
+    scores = kic_scores_all(X, kernel, rho)
+    assert np.max(np.abs(scores - leverage) / leverage) <= 1e-10
 
 
 def test_grid_symmetric_data_gives_symmetric_field():

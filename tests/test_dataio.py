@@ -123,6 +123,24 @@ def test_load_rejects_non_binary_labels(tmp_path):
         load_csv(later, label_column="y")
 
 
+def test_load_names_first_faulty_row_in_file_order(tmp_path):
+    # A bad label and a bad cell in one file, in both orders: the error names
+    # whichever comes first, also when the later fault stops the parse.
+    cases = [
+        ("f1,y\n1.0,2\n3.0,nan\n", "label value '2' at row 2 is not binary"),
+        ("f1,y\n1.0,0\nnan,1\n4.0,2\n", "value 'nan' at row 3, column 1"),
+        ("f1,y\n1.0,1\n# note\n2.0,5\n3.0,oops\n", "label value '5' at row 4 is not binary"),
+        ("f1,y\noops,0\n1.0,2\n", "value 'oops' at row 2, column 1"),
+        ("f1,y\n1.0,0\n2.0,inf\n3.0\n", "value 'inf' at row 3, column 2"),
+        ("f1,y\n1.0,-1\n3.0\n", "label value '-1' at row 2 is not binary"),
+    ]
+    for i, (text, message) in enumerate(cases):
+        path = tmp_path / f"faults{i}.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=message):
+            load_csv(path, label_column="y")
+
+
 def test_load_custom_delimiter(tmp_path):
     path = tmp_path / "semi.csv"
     path.write_text("1.0;2.0\n3.0;4.0\n")
