@@ -264,10 +264,13 @@ def fit_kic(
     if rho is not None and not rho > 0:
         raise ValueError("rho must be positive")
     n = X.shape[0]
-    G_scaled = gram_matrix(kernel, X) / n
+    # Scale the fresh Gram and add rho to its diagonal in place: no n x n temporaries.
+    A = gram_matrix(kernel, X)
+    A /= n
     if rho is None:
-        rho = default_rho(G_scaled, C)
-    factor = spd_factor(G_scaled + rho * np.eye(n))
+        rho = default_rho(A, C)
+    A.flat[:: n + 1] += rho
+    factor = spd_factor(A)
     return ChristoffelModel(kernel=kernel, rho=float(rho), training=X, factorization=factor)
 
 

@@ -8,8 +8,11 @@ grid for external contour plotting.
 Output files are CSV with a '#'-prefixed metadata header that pins method,
 hyperparameters, seed and normalization convention, so a file can be
 reproduced byte for byte with the same binary. Every flag can also be set
-through an environment variable with the ``CHRISTOFFEL_`` prefix
-(command-line values win).
+through an environment variable with the ``CHRISTOFFEL_`` prefix and the
+flag's name in upper case, '-' read as '_' (``CHRISTOFFEL_SAMPLE_SIZE`` for
+``--sample-size``); command-line values win. The environment is read once,
+right after parsing, and a comma-separated value lists several inputs or
+methods for ``bench``.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error, 4 I/O error.
 """
@@ -55,19 +58,22 @@ PRNG_NAME = "numpy-PCG64"
 METHODS = ("IC", "KIC", "KIC2", "KIC-RBF", "KIC-RBF2", "KNN", "KSP", "KSP2")
 RANDOMIZED_METHODS = {"KSP", "KSP2"}
 
-# Method-specific flags: type, value when omitted, accepted range on n rows
-# and that range in words. Supplying one for a method outside its
-# _METHOD_FLAGS column is a configuration error caught before any
+# Method-specific flags: type, value when omitted, accepted range on n rows,
+# that range in words and the help text. Supplying one for a method outside
+# its _METHOD_FLAGS column is a configuration error caught before any
 # computation.
 _HYPERPARAMETERS = {
-    "degree": (int, 2, lambda v, n: v >= 1, "be >= 1"),
-    "C": (float, 500.0, lambda v, n: v > 0, "be positive"),
-    "rho": (float, None, lambda v, n: v > 0, "be positive"),
-    "sigma": (float, None, lambda v, n: v > 0, "be positive"),
-    "alpha": (float, 0.6, lambda v, n: 0.0 < v <= 1.0, "lie in (0, 1]"),
-    "k": (int, 5, lambda v, n: 1 <= v <= n - 1, "satisfy 1 <= k <= n - 1 = {m}"),
-    "sample_size": (int, 20, lambda v, n: v >= 1, "be >= 1"),
-    "feature_dim_limit": (int, DEFAULT_FEATURE_DIM_LIMIT, lambda v, n: v >= 1, "be >= 1"),
+    "degree": (int, 2, lambda v, n: v >= 1, "be >= 1", "polynomial degree d"),
+    "C": (float, 500.0, lambda v, n: v > 0, "be positive", "regularization divisor C"),
+    "rho": (float, None, lambda v, n: v > 0, "be positive", "explicit rho, bypassing the C rule"),
+    "sigma": (float, None, lambda v, n: v > 0, "be positive", "RBF lengthscale"),
+    "alpha": (float, 0.6, lambda v, n: 0.0 < v <= 1.0, "lie in (0, 1]",
+              "filtered-variant keep fraction"),
+    "k": (int, 5, lambda v, n: 1 <= v <= n - 1, "satisfy 1 <= k <= n - 1 = {m}",
+          "neighbor count for KNN"),
+    "sample_size": (int, 20, lambda v, n: v >= 1, "be >= 1", "subsample size for KSP/KSP2"),
+    "feature_dim_limit": (int, DEFAULT_FEATURE_DIM_LIMIT, lambda v, n: v >= 1, "be >= 1",
+                          "monomial feature dimension cap for IC"),
 }
 
 _METHOD_FLAGS = {
@@ -102,116 +108,71 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, multi_input=False):
-        if multi_input:
-            p.add_argument("--input", action="append", default=None,
-                           help="input CSV path(s); repeat or comma-separate")
-        else:
-            p.add_argument("--input", default=None, help="input CSV path")
-        p.add_argument("--output", default=None, help="output file path")
-        p.add_argument("--label-column", dest="label_column", default=None,
-                       help="label column name or zero-based index")
-        p.add_argument("--no-normalize", dest="no_normalize", action="store_true",
-                       default=False, help="skip zero-mean unit-variance normalization")
+    def add_run(p, multi=False):
+        """Flags of score, bench and contour; bench takes several inputs and methods."""
+        many = {"action": "append"} if multi else {}
+        plural = "(s); repeat or comma-separate" if multi else ""
+        p.add_argument("--input", **many, help=f"input CSV path{plural}")
+        p.add_argument("--output", help="output file path")
+        p.add_argument("--label-column", help="label column name or zero-based index")
+        p.add_argument("--no-normalize", action="store_true",
+                       help="skip zero-mean unit-variance normalization")
+        p.add_argument("--method", **many, help=f"method name{plural}")
+        for flag, (*_, text) in _HYPERPARAMETERS.items():
+            p.add_argument(_flag(flag), dest=flag, help=text)
+        p.add_argument("--seed", help="PRNG seed")
 
-    def add_method(p, multi=False):
-        if multi:
-            p.add_argument("--method", action="append", default=None,
-                           help="method name(s); repeat or comma-separate")
-        else:
-            p.add_argument("--method", default=None, help="method name")
-
-    def add_hyper(p):
-        p.add_argument("--degree", default=None, help="polynomial degree d")
-        p.add_argument("--C", dest="C", default=None, help="regularization divisor C")
-        p.add_argument("--rho", default=None, help="explicit rho, bypassing the C rule")
-        p.add_argument("--sigma", default=None, help="RBF lengthscale")
-        p.add_argument("--alpha", default=None, help="filtered-variant keep fraction")
-        p.add_argument("--k", default=None, help="neighbor count for KNN")
-        p.add_argument("--sample-size", dest="sample_size", default=None,
-                       help="subsample size for KSP/KSP2")
-        p.add_argument("--feature-dim-limit", dest="feature_dim_limit", default=None,
-                       help="monomial feature dimension cap for IC")
-        p.add_argument("--seed", default=None, help="PRNG seed")
-
-    p_score = sub.add_parser("score", help="score every row of a dataset")
-    add_io(p_score)
-    add_method(p_score)
-    add_hyper(p_score)
+    add_run(sub.add_parser("score", help="score every row of a dataset"))
 
     p_bench = sub.add_parser("bench", help="AUPRC benchmark over datasets x methods")
-    add_io(p_bench, multi_input=True)
-    add_method(p_bench, multi=True)
-    add_hyper(p_bench)
-    p_bench.add_argument("--trials", default=None,
-                         help="trials for randomized methods (default 30)")
+    add_run(p_bench, multi=True)
+    p_bench.add_argument("--trials", help="trials for randomized methods (default 30)")
 
     p_synth = sub.add_parser("synth", help="generate the synthetic Gaussian benchmark")
-    p_synth.add_argument("--output", default=None)
-    p_synth.add_argument("--seed", default=None)
-    p_synth.add_argument("--dimension", default=None, help="feature count (default 1000)")
-    p_synth.add_argument("--clusters", default=None, help="cluster count (default 5)")
-    p_synth.add_argument("--samples-per-cluster", dest="samples_per_cluster",
-                         default=None, help="inliers per cluster (default 194)")
-    p_synth.add_argument("--outliers", default=None, help="outlier count (default 30)")
-    p_synth.add_argument("--variance-repair", dest="variance_repair", default=None,
-                         help="'abs' (default) or 'square'")
+    p_synth.add_argument("--output")
+    p_synth.add_argument("--seed")
+    p_synth.add_argument("--dimension", help="feature count (default 1000)")
+    p_synth.add_argument("--clusters", help="cluster count (default 5)")
+    p_synth.add_argument("--samples-per-cluster", help="inliers per cluster (default 194)")
+    p_synth.add_argument("--outliers", help="outlier count (default 30)")
+    p_synth.add_argument("--variance-repair", help="'abs' (default) or 'square'")
 
     p_contour = sub.add_parser("contour", help="score grid for contour plotting")
-    add_io(p_contour)
-    add_method(p_contour)
-    add_hyper(p_contour)
-    p_contour.add_argument("--grid", default=None,
-                           help="x_lo,x_hi,x_steps,y_lo,y_hi,y_steps")
+    add_run(p_contour)
+    p_contour.add_argument("--grid", help="x_lo,x_hi,x_steps,y_lo,y_hi,y_steps")
 
     return parser
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name.upper())
+def _flag(field: str) -> str:
+    return "--" + field.replace("_", "-")
 
 
-def _resolve(args, field: str, cast, default=None):
-    """Command-line value, else environment value, else default."""
-    value = getattr(args, field, None)
-    if value is None or value is False:
-        env_value = _env(field)
-        if env_value is not None:
-            value = env_value
-        elif value is None:
-            return default
-    if isinstance(value, str) and cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            raise ConfigError(f"invalid value for --{field.replace('_', '-')}: {value!r}")
-    if cast is bool:
-        if isinstance(value, bool):
-            return value
-        return str(value).strip().lower() in ("1", "true", "yes", "on")
-    return cast(value) if not isinstance(value, cast) else value
+def _apply_env(args) -> None:
+    """Fill every flag left unset on the command line from its environment variable."""
+    for field, value in vars(args).items():
+        if value is None or value is False:
+            setattr(args, field, os.environ.get(ENV_PREFIX + field.upper(), value))
 
 
-def _given(args, field: str) -> bool:
-    value = getattr(args, field, None)
-    if isinstance(value, bool):
-        return value or _env(field) is not None
-    return value is not None or _env(field) is not None
-
-
-def _split_multi(args, field: str) -> list[str]:
-    value = getattr(args, field, None)
+def _resolve(args, field: str, cast, default):
+    """The flag's value as ``cast``, or ``default`` when it was not set."""
+    value = getattr(args, field)
     if value is None:
-        env_value = _env(field)
-        if env_value is None:
-            return []
-        value = env_value
+        return default
+    if cast is bool:
+        return value is True or str(value).strip().lower() in ("1", "true", "yes", "on")
+    try:
+        return cast(value)
+    except ValueError:
+        raise ConfigError(f"invalid value for {_flag(field)}: {value!r}")
+
+
+def _split_multi(value) -> list[str]:
+    """The names of a repeated or comma-separated flag, in order."""
     if isinstance(value, str):
         value = [value]
-    flat: list[str] = []
-    for item in value:
-        flat.extend(part.strip() for part in str(item).split(",") if part.strip())
-    return flat
+    return [part.strip() for item in value or () for part in item.split(",") if part.strip()]
 
 
 def _check_method_flags(args, methods: list[str]) -> None:
@@ -220,10 +181,9 @@ def _check_method_flags(args, methods: list[str]) -> None:
             raise ConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
     allowed = set().union(*(_METHOD_FLAGS[m] for m in methods))
     for flag in _HYPERPARAMETERS:
-        if _given(args, flag) and flag not in allowed:
-            pretty = "--" + flag.replace("_", "-")
+        if getattr(args, flag) is not None and flag not in allowed:
             raise ConfigError(
-                f"{pretty} does not apply to method(s) {', '.join(methods)}"
+                f"{_flag(flag)} does not apply to method(s) {', '.join(methods)}"
             )
 
 
@@ -234,15 +194,14 @@ def _method_params(method: str, p: int, n: int, args) -> dict:
         ConfigError: if a value lies outside the range its method accepts.
     """
     params: dict = {}
-    for flag, (cast, default, accepts, rule) in _HYPERPARAMETERS.items():
+    for flag, (cast, default, accepts, rule, _) in _HYPERPARAMETERS.items():
         if flag not in _METHOD_FLAGS[method]:
             continue
         if method == "KSP2" and flag == "alpha":
             default = 0.5
         value = _resolve(args, flag, cast, default)
         if value is not None and not accepts(value, n):
-            pretty = "--" + flag.replace("_", "-")
-            raise ConfigError(f"{pretty} must {rule.format(m=n - 1)}, got {value}")
+            raise ConfigError(f"{_flag(flag)} must {rule.format(m=n - 1)}, got {value}")
         params[flag] = value
     if method in ("KIC-RBF", "KIC-RBF2") and params["sigma"] is None:
         params["sigma"] = default_sigma(p, "KIC" if method == "KIC-RBF" else "KIC2")
@@ -250,7 +209,7 @@ def _method_params(method: str, p: int, n: int, args) -> dict:
 
 
 def _seed(args) -> int:
-    """The PRNG seed: command line, environment or 0; must be >= 0."""
+    """The PRNG seed, 0 when not set; must be >= 0."""
     seed = _resolve(args, "seed", int, 0)
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
@@ -294,71 +253,63 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _csv_lines(rows) -> list[str]:
+def _write(path, command: str, normalize_on: bool, seed: int, meta, rows) -> None:
+    """Write the '# key = value' header (run settings, then ``meta``) and the CSV rows."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue().splitlines()
-
-
-def _meta_lines(pairs) -> list[str]:
-    return [f"# {key} = {value}" for key, value in pairs]
-
-
-def _write_file(path, lines) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _base_meta(command: str, normalize_on: bool, seed: int) -> list[tuple[str, str]]:
-    return [
+    header = [
         ("tool", "christoffel-outliers"),
         ("version", __version__),
         ("command", command),
         ("normalize", "population-zscore" if normalize_on else "none"),
-        ("seed", str(seed)),
+        ("seed", seed),
         ("prng", PRNG_NAME),
+        *meta,
     ]
+    buffer.writelines(f"# {key} = {value}\n" for key, value in header)
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    Path(path).write_text(buffer.getvalue(), encoding="utf-8")
+
+
+def _one_method(args, command: str, supported=None) -> str:
+    """The method of a single-method command; checks it, its flags, then --input/--output."""
+    methods = _split_multi(args.method)
+    if len(methods) != 1:
+        raise ConfigError(f"{command} requires exactly one --method")
+    if supported and methods[0] not in supported:
+        raise ConfigError(f"{command} supports the {' and '.join(supported)} methods")
+    _check_method_flags(args, methods)
+    if not args.input or not args.output:
+        raise ConfigError(f"{command} requires --input and --output")
+    return methods[0]
+
+
+def _run_settings(args) -> tuple[bool, int]:
+    """Whether to normalize the input, and the PRNG seed."""
+    return not _resolve(args, "no_normalize", bool, False), _seed(args)
 
 
 def _load_for_run(args, path: str, normalize_on: bool) -> DataMatrix:
-    label_column = _resolve(args, "label_column", str, None)
-    dm = load_csv(path, label_column=label_column)
-    if normalize_on:
-        dm = normalize(dm)
-    return dm
+    dm = load_csv(path, label_column=args.label_column)
+    return normalize(dm) if normalize_on else dm
 
 
 def _cmd_score(args) -> None:
-    methods = _split_multi(args, "method")
-    if len(methods) != 1:
-        raise ConfigError("score requires exactly one --method")
-    method = methods[0]
-    _check_method_flags(args, [method])
-    input_path = _resolve(args, "input", str, None)
-    output_path = _resolve(args, "output", str, None)
-    if not input_path or not output_path:
-        raise ConfigError("score requires --input and --output")
-    normalize_on = not _resolve(args, "no_normalize", bool, False)
-    seed = _seed(args)
+    method = _one_method(args, "score")
+    normalize_on, seed = _run_settings(args)
 
-    dm = _load_for_run(args, input_path, normalize_on)
+    dm = _load_for_run(args, args.input, normalize_on)
     params = _method_params(method, dm.p, dm.n, args)
     scores = _run_method(method, dm.values, params, seed)
 
-    meta = _base_meta("score", normalize_on, seed)
-    meta.append(("method", method))
-    meta.append(("input", str(input_path)))
-    for key in sorted(params):
-        meta.append((key, str(params[key])))
-    lines = _meta_lines(meta)
-    lines.append("score")
-    lines.extend(_fmt(s) for s in scores)
-    _write_file(output_path, lines)
+    meta = [("method", method), ("input", args.input)]
+    meta += [(key, params[key]) for key in sorted(params)]
+    rows = [["score"], *([_fmt(s)] for s in scores)]
+    _write(args.output, "score", normalize_on, seed, meta, rows)
 
 
 def _cmd_bench(args) -> None:
-    methods = _split_multi(args, "method")
-    inputs = _split_multi(args, "input")
+    methods = _split_multi(args.method)
+    inputs = _split_multi(args.input)
     if not methods:
         raise ConfigError("bench requires --method")
     if not inputs:
@@ -368,11 +319,12 @@ def _cmd_bench(args) -> None:
         if resolved[i] in resolved[:i]:
             raise ConfigError(f"bench input {path} names a dataset already given")
     _check_method_flags(args, methods)
-    output_path = _resolve(args, "output", str, None)
-    if not output_path:
+    for i, method in enumerate(methods):
+        if method in methods[:i]:
+            raise ConfigError(f"bench method {method} is given more than once")
+    if not args.output:
         raise ConfigError("bench requires --output")
-    normalize_on = not _resolve(args, "no_normalize", bool, False)
-    seed = _seed(args)
+    normalize_on, seed = _run_settings(args)
     trials = _resolve(args, "trials", int, 30)
     if trials < 1:
         raise ConfigError("--trials must be >= 1")
@@ -386,7 +338,7 @@ def _cmd_bench(args) -> None:
             )
         if int(dm.labels.sum()) in (0, dm.n):
             raise ConfigError(f"dataset {path} has degenerate labels (single class)")
-        datasets.append((str(path), dm))
+        datasets.append((path, dm))
 
     cells: dict[tuple[str, str], list[float] | None] = {}
     for name, dm in datasets:
@@ -405,14 +357,9 @@ def _cmd_bench(args) -> None:
 
     table = summarize(cells, datasets=[n for n, _ in datasets], methods=methods)
 
-    meta = _base_meta("bench", normalize_on, seed)
-    meta.append(("methods", ",".join(methods)))
-    meta.append(("inputs", ",".join(inputs)))
-    meta.append(("trials", str(trials)))
-    for flag in _HYPERPARAMETERS:
-        if _given(args, flag):
-            meta.append((flag, str(_resolve(args, flag, str, None))))
-    lines = _meta_lines(meta)
+    meta = [("methods", ",".join(methods)), ("inputs", ",".join(inputs)), ("trials", trials)]
+    given = [flag for flag in _HYPERPARAMETERS if getattr(args, flag) is not None]
+    meta += [(flag, getattr(args, flag)) for flag in given]
     rows: list[list] = [["record", "dataset", "method", "value", "std", "trials"]]
     for name in table.datasets:
         for method in table.methods:
@@ -423,19 +370,14 @@ def _cmd_bench(args) -> None:
                 rows.append(
                     ["cell", name, method, _fmt(cell.mean), _fmt(cell.std), cell.trials]
                 )
-    for method in table.methods:
-        rows.append(["average", "-", method, _fmt(table.average[method]), "-", "-"])
-    for method in table.methods:
-        rows.append(["avg_rank", "-", method, _fmt(table.avg_rank[method]), "-", "-"])
-    for method in table.methods:
-        rows.append(["rmsd", "-", method, _fmt(table.rmsd[method]), "-", "-"])
-    lines.extend(_csv_lines(rows))
-    _write_file(output_path, lines)
+    for kind in ("average", "avg_rank", "rmsd"):
+        for method in table.methods:
+            rows.append([kind, "-", method, _fmt(getattr(table, kind)[method]), "-", "-"])
+    _write(args.output, "bench", normalize_on, seed, meta, rows)
 
 
 def _cmd_synth(args) -> None:
-    output_path = _resolve(args, "output", str, None)
-    if not output_path:
+    if not args.output:
         raise ConfigError("synth requires --output")
     try:
         cfg = SynthGaussianConfig(
@@ -450,67 +392,48 @@ def _cmd_synth(args) -> None:
         raise ConfigError(str(exc))
     dm = synth_gaussian(cfg)
 
-    meta = _base_meta("synth", False, cfg.seed)
-    meta.append(("clusters", str(cfg.num_clusters)))
-    meta.append(("samples_per_cluster", str(cfg.samples_per_cluster)))
-    meta.append(("outliers", str(cfg.num_outliers)))
-    meta.append(("dimension", str(cfg.dimension)))
-    meta.append(("variance_repair", cfg.variance_repair))
-    lines = _meta_lines(meta)
-    header = [f"f{j + 1}" for j in range(dm.p)] + ["outlier"]
-    rows: list[list] = [header]
+    meta = [
+        ("clusters", cfg.num_clusters),
+        ("samples_per_cluster", cfg.samples_per_cluster),
+        ("outliers", cfg.num_outliers),
+        ("dimension", cfg.dimension),
+        ("variance_repair", cfg.variance_repair),
+    ]
+    rows: list[list] = [[f"f{j + 1}" for j in range(dm.p)] + ["outlier"]]
     for i in range(dm.n):
         rows.append([_fmt(v) for v in dm.values[i]] + [int(dm.labels[i])])
-    lines.extend(_csv_lines(rows))
-    _write_file(output_path, lines)
+    _write(args.output, "synth", False, cfg.seed, meta, rows)
 
 
 def _cmd_contour(args) -> None:
-    methods = _split_multi(args, "method")
-    if len(methods) != 1:
-        raise ConfigError("contour requires exactly one --method")
-    method = methods[0]
-    if method not in ("KIC", "KIC-RBF"):
-        raise ConfigError("contour supports the KIC and KIC-RBF methods")
-    _check_method_flags(args, [method])
-    input_path = _resolve(args, "input", str, None)
-    output_path = _resolve(args, "output", str, None)
-    grid_spec = _resolve(args, "grid", str, None)
-    if not input_path or not output_path:
-        raise ConfigError("contour requires --input and --output")
-    if not grid_spec:
+    method = _one_method(args, "contour", ("KIC", "KIC-RBF"))
+    if not args.grid:
         raise ConfigError("contour requires --grid x_lo,x_hi,x_steps,y_lo,y_hi,y_steps")
     try:
-        x_lo, x_hi, x_steps, y_lo, y_hi, y_steps = str(grid_spec).split(",")
+        x_lo, x_hi, x_steps, y_lo, y_hi, y_steps = args.grid.split(",")
         x_range = (float(x_lo), float(x_hi), int(x_steps))
         y_range = (float(y_lo), float(y_hi), int(y_steps))
         _grid_axis(x_range, "its x range")
         _grid_axis(y_range, "its y range")
     except ValueError as exc:
-        raise ConfigError(f"invalid --grid {grid_spec!r}: {exc}")
-    normalize_on = not _resolve(args, "no_normalize", bool, False)
-    seed = _seed(args)
+        raise ConfigError(f"invalid --grid {args.grid!r}: {exc}")
+    normalize_on, seed = _run_settings(args)
 
-    dm = _load_for_run(args, input_path, normalize_on)
+    dm = _load_for_run(args, args.input, normalize_on)
     if dm.p != 2:
         raise ConfigError(f"contour requires 2-feature data, got p={dm.p}")
     params = _method_params(method, dm.p, dm.n, args)
     model = _fit(method, dm.values, params)
     xs, ys, scores = grid_scores(model, x_range, y_range)
 
-    meta = _base_meta("contour", normalize_on, seed)
-    meta.append(("method", method))
-    meta.append(("input", str(input_path)))
-    meta.append(("grid", ",".join(map(str, x_range + y_range))))
-    for key in sorted(params):
-        meta.append((key, str(params[key])))
-    lines = _meta_lines(meta)
+    grid = ",".join(map(str, x_range + y_range))
+    meta = [("method", method), ("input", args.input), ("grid", grid)]
+    meta += [(key, params[key]) for key in sorted(params)]
     rows: list[list] = [["x", "y", "score"]]
     for i in range(ys.shape[0]):
         for j in range(xs.shape[0]):
             rows.append([_fmt(xs[j]), _fmt(ys[i]), _fmt(scores[i, j])])
-    lines.extend(_csv_lines(rows))
-    _write_file(output_path, lines)
+    _write(args.output, "contour", normalize_on, seed, meta, rows)
 
 
 _COMMANDS = {
@@ -524,6 +447,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _apply_env(args)
     handler = _COMMANDS[args.command]
     try:
         handler(args)
@@ -536,10 +460,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except _NUMERIC_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
+    except (*_NUMERIC_ERRORS, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

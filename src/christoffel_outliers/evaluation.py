@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,10 @@ def summarize(
         if not available:
             continue
         means = np.array([stats[(d, m)].mean for m in available])
-        ranks = rankdata(-means, method="average")
+        # Average rank, 1 for the largest mean: the means above, plus the
+        # middle of the positions the tied means share.
+        greater = (means[None, :] > means[:, None]).sum(axis=1)
+        ranks = greater + ((means[None, :] == means[:, None]).sum(axis=1) + 1) / 2
         best = float(means.max())
         for m, mean, rank in zip(available, means, ranks):
             per_method_means[m].append(float(mean))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -314,6 +319,33 @@ def test_bench_rejects_repeated_input(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_bench_rejects_repeated_method(tmp_path, capsys):
+    data = _write_blobs(tmp_path)
+    for methods in (["--method", "KIC,KNN,KIC"], ["--method", "KIC,KNN", "--method", "KIC"]):
+        out = tmp_path / "b.csv"
+        code = main(["bench", *methods, "--input", str(data),
+                     "--label-column", "outlier", "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert "bench method KIC is given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_bench_env_lists_match_flags(tmp_path, monkeypatch):
+    d1 = _write_blobs(tmp_path, seed=1)
+    d2 = _write_blobs(tmp_path, seed=2)
+    by_flags = tmp_path / "flags.csv"
+    assert main(["bench", "--method", "KNN,KSP", "--input", f"{d1},{d2}",
+                 "--label-column", "outlier", "--trials", "2",
+                 "--output", str(by_flags)]) == EXIT_OK
+    monkeypatch.setenv("CHRISTOFFEL_METHOD", "KNN,KSP")
+    monkeypatch.setenv("CHRISTOFFEL_INPUT", f"{d1},{d2}")
+    monkeypatch.setenv("CHRISTOFFEL_LABEL_COLUMN", "outlier")
+    monkeypatch.setenv("CHRISTOFFEL_TRIALS", "2")
+    by_env = tmp_path / "env.csv"
+    assert main(["bench", "--output", str(by_env)]) == EXIT_OK
+    assert by_env.read_bytes() == by_flags.read_bytes()
+
+
 def test_bench_requires_labels(tmp_path, capsys):
     data = _write_line_dataset(tmp_path)
     code = main(["bench", "--method", "KNN", "--input", str(data),
@@ -461,3 +493,12 @@ def test_contour_requires_grid(tmp_path):
         code = main(["contour", "--method", "KIC", "--input", str(tmp_path / "none.csv"),
                      f"--grid={grid}", "--output", str(tmp_path / "g.csv")])
         assert code == EXIT_CONFIG, grid
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats roughly doubles the import time of the command-line tool.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, christoffel_outliers.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout.strip() == "False"

@@ -122,6 +122,11 @@ def test_summary_tied_methods_share_rank():
     table = summarize({("ds", "A"): [0.7], ("ds", "B"): [0.7]})
     assert table.avg_rank["A"] == 1.5
     assert table.avg_rank["B"] == 1.5
+    table = summarize({("ds", m): [0.4] for m in "ABC"})
+    assert [table.avg_rank[m] for m in "ABC"] == [2.0, 2.0, 2.0]
+    means = {"A": 0.9, "B": 0.5, "C": 0.5, "D": 0.5, "E": 0.1}
+    table = summarize({("ds", m): [v] for m, v in means.items()})
+    assert [table.avg_rank[m] for m in "ABCDE"] == [1.0, 3.0, 3.0, 3.0, 5.0]
 
 
 def test_summary_three_datasets_hand_numbers():
