@@ -326,12 +326,21 @@ def kic2_scores(X, kernel: KernelSpec, C: float, alpha: float = 0.6) -> np.ndarr
     every row. The ceil(alpha * n) lowest-scoring rows (ties by position)
     form the filtered set; stage two fits on that set, again with the
     default rho rule, and scores every original row. Each stage builds one
-    Gram matrix.
+    Gram matrix. Stage two is ``_kic2_stage_two``, which a caller holding
+    the stage-one scores already (the plain C-rule KIC scores of X) can run
+    on its own.
     """
     X = as_matrix(X)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    stage1 = kic_scores(fit_kic(X, kernel, C=C), X)
+    return _kic2_stage_two(X, kernel, C, alpha, kic_scores(fit_kic(X, kernel, C=C), X))
+
+
+def _kic2_stage_two(
+    X: np.ndarray, kernel: KernelSpec, C: float, alpha: float, stage1: np.ndarray
+) -> np.ndarray:
+    """Refit on the ceil(alpha * n) rows of X with the lowest ``stage1`` scores
+    and score every row of X."""
     keep = lowest_score_indices(stage1, alpha)
     return kic_scores(fit_kic(X[keep], kernel, C=C), X)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -35,11 +36,11 @@ from .christoffel import (
     FeatureDimensionError,
     MomentMatrixError,
     _grid_axis,
+    _kic2_stage_two,
     default_sigma,
     fit_kic,
     grid_scores,
     ic_scores,
-    kic2_scores,
     kic_scores,
 )
 from .dataio import CsvFormatError, DataMatrix, SynthGaussianConfig, load_csv, normalize, synth_gaussian
@@ -62,11 +63,12 @@ RANDOMIZED_METHODS = {"KSP", "KSP2"}
 # that range in words and the help text. Supplying one for a method outside
 # its _METHOD_FLAGS column is a configuration error caught before any
 # computation.
+_POSITIVE_FINITE = (lambda v, n: 0 < v < math.inf, "be positive and finite")
 _HYPERPARAMETERS = {
     "degree": (int, 2, lambda v, n: v >= 1, "be >= 1", "polynomial degree d"),
-    "C": (float, 500.0, lambda v, n: v > 0, "be positive", "regularization divisor C"),
-    "rho": (float, None, lambda v, n: v > 0, "be positive", "explicit rho, bypassing the C rule"),
-    "sigma": (float, None, lambda v, n: v > 0, "be positive", "RBF lengthscale"),
+    "C": (float, 500.0, *_POSITIVE_FINITE, "regularization divisor C"),
+    "rho": (float, None, *_POSITIVE_FINITE, "explicit rho, bypassing the C rule"),
+    "sigma": (float, None, *_POSITIVE_FINITE, "RBF lengthscale"),
     "alpha": (float, 0.6, lambda v, n: 0.0 < v <= 1.0, "lie in (0, 1]",
               "filtered-variant keep fraction"),
     "k": (int, 5, lambda v, n: 1 <= v <= n - 1, "satisfy 1 <= k <= n - 1 = {m}",
@@ -94,6 +96,11 @@ _NUMERIC_ERRORS = (
     ConvergenceError,
     np.linalg.LinAlgError,
 )
+
+
+# Spellings of a boolean flag's value, read after strip() and lower().
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False, "": False}
 
 
 class ConfigError(Exception):
@@ -160,11 +167,11 @@ def _resolve(args, field: str, cast, default):
     value = getattr(args, field)
     if value is None:
         return default
-    if cast is bool:
-        return value is True or str(value).strip().lower() in ("1", "true", "yes", "on")
     try:
+        if cast is bool:
+            return value is True or _BOOLEANS[str(value).strip().lower()]
         return cast(value)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(f"invalid value for {_flag(field)}: {value!r}")
 
 
@@ -233,13 +240,32 @@ def _fit(method: str, X: np.ndarray, params: dict):
     return model
 
 
-def _run_method(method: str, X: np.ndarray, params: dict, seed: int) -> np.ndarray:
+def _c_rule_scores(X: np.ndarray, kernel: KernelSpec, C: float, fits: dict):
+    """The effective rho of the C-rule fit on X, and its scores of the rows of X.
+
+    ``fits`` keeps both per (kernel, C) for one dataset, so KIC and the first
+    stage of KIC2 fit and score X once between them; a failed fit stores nothing.
+    """
+    key = (kernel, C)
+    if key not in fits:
+        model = fit_kic(X, kernel, C=C)
+        fits[key] = model.rho, kic_scores(model, X)
+    return fits[key]
+
+
+def _run_method(method: str, X: np.ndarray, params: dict, seed: int, fits: dict) -> np.ndarray:
+    """Score the rows of X; ``fits`` is ``_c_rule_scores``'s store for this X."""
     if method == "IC":
         return ic_scores(X, X, params["degree"], dim_limit=params["feature_dim_limit"])
     if method in ("KIC", "KIC-RBF"):
-        return kic_scores(_fit(method, X, params), X)
+        if params["rho"] is not None:
+            return kic_scores(_fit(method, X, params), X)
+        params["rho"], scores = _c_rule_scores(X, _kernel(method, params), params["C"], fits)
+        return scores
     if method in ("KIC2", "KIC-RBF2"):
-        return kic2_scores(X, _kernel(method, params), params["C"], params["alpha"])
+        kernel = _kernel(method, params)
+        _, stage1 = _c_rule_scores(X, kernel, params["C"], fits)
+        return _kic2_stage_two(X, kernel, params["C"], params["alpha"], stage1)
     if method == "KNN":
         return knn_scores(X, params["k"])
     if method == "KSP":
@@ -299,7 +325,7 @@ def _cmd_score(args) -> None:
 
     dm = _load_for_run(args, args.input, normalize_on)
     params = _method_params(method, dm.p, dm.n, args)
-    scores = _run_method(method, dm.values, params, seed)
+    scores = _run_method(method, dm.values, params, seed, {})
 
     meta = [("method", method), ("input", args.input)]
     meta += [(key, params[key]) for key in sorted(params)]
@@ -343,13 +369,14 @@ def _cmd_bench(args) -> None:
     cells: dict[tuple[str, str], list[float] | None] = {}
     for name, dm in datasets:
         labels = dm.labels
+        fits: dict = {}
         for method in methods:
             try:
                 params = _method_params(method, dm.p, dm.n, args)
                 runs = trials if method in RANDOMIZED_METHODS else 1
                 values = []
                 for trial in range(runs):
-                    scores = _run_method(method, dm.values, params, seed + trial)
+                    scores = _run_method(method, dm.values, params, seed + trial, fits)
                     values.append(pr_curve(scores, labels).auprc)
                 cells[(name, method)] = values
             except _NUMERIC_ERRORS:

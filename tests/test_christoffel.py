@@ -361,6 +361,16 @@ def test_kic2_builds_one_gram_per_stage(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("kernel", [KernelSpec.polynomial(2), KernelSpec.rbf(2.0)])
+def test_kic2_stage_two_on_given_stage_one_scores(kernel):
+    # A caller already holding the C-rule KIC scores of X (as bench does
+    # when it also runs KIC) runs stage two alone and gets kic2_scores' bits.
+    X = np.random.default_rng(27).normal(size=(300, 4))
+    stage1 = kic_scores(fit_kic(X, kernel, C=500.0), X)
+    assert np.array_equal(christoffel._kic2_stage_two(X, kernel, 500.0, 0.6, stage1),
+                          kic2_scores(X, kernel, 500.0, 0.6))
+
+
 @pytest.mark.parametrize("rho, solves_per_row", [(0.05, 1), (1e-20, 2)])
 def test_kic_scores_make_one_triangular_solve_per_row(monkeypatch, rho, solves_per_row):
     # Without jitter a row costs one forward substitution; with jitter the

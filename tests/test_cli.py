@@ -147,6 +147,9 @@ def test_score_config_error_for_mismatched_flag(tmp_path, capsys):
     ["--method", "KSP", "--seed", "-1"],
     ["--method", "KIC", "--feature-dim-limit", "5"],
     ["--method", "IC", "--feature-dim-limit", "0"],
+    ["--method", "KIC", "--rho", "inf"],
+    ["--method", "KIC", "--C", "inf"],
+    ["--method", "KIC-RBF", "--sigma", "inf"],
 ])
 def test_score_out_of_range_hyperparameter_is_config_error(tmp_path, capsys, flags):
     data = _write_blobs(tmp_path)
@@ -228,6 +231,24 @@ def test_env_boolean_no_normalize(tmp_path, monkeypatch):
     meta, scores = _read_scores(out)
     assert meta["normalize"] == "none"
     assert np.array_equal(scores, [1.0, 1.0, 1.0, 8.0])
+
+
+@pytest.mark.parametrize("value, normalize", [
+    ("off", "population-zscore"), ("", "population-zscore"), (" Yes ", "none"), ("ture", None),
+])
+def test_env_boolean_spellings(tmp_path, monkeypatch, capsys, value, normalize):
+    data = _write_line_dataset(tmp_path)
+    out = tmp_path / "envnorm.csv"
+    monkeypatch.setenv("CHRISTOFFEL_NO_NORMALIZE", value)
+    code = main(["score", "--method", "KNN", "--k", "1", "--input", str(data),
+                 "--output", str(out)])
+    if normalize is None:
+        assert code == EXIT_CONFIG
+        assert "invalid value for --no-normalize: 'ture'" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert code == EXIT_OK
+        assert _read_scores(out)[0]["normalize"] == normalize
 
 
 def test_rho_override_bypasses_default_rule(tmp_path):
@@ -344,6 +365,61 @@ def test_bench_env_lists_match_flags(tmp_path, monkeypatch):
     by_env = tmp_path / "env.csv"
     assert main(["bench", "--output", str(by_env)]) == EXIT_OK
     assert by_env.read_bytes() == by_flags.read_bytes()
+
+
+@pytest.mark.parametrize("flags, fits", [
+    (["--method", "KIC,KIC2"], 2),
+    (["--method", "KIC2,KIC"], 2),
+    (["--method", "KIC,KIC2", "--rho", "0.1"], 3),  # KIC does not use the C rule
+    (["--method", "KIC-RBF,KIC-RBF2"], 3),  # default sigmas differ: two kernels
+    (["--method", "KIC-RBF,KIC-RBF2", "--sigma", "1.5"], 2),
+])
+def test_bench_fits_each_c_rule_model_once(tmp_path, monkeypatch, flags, fits):
+    # KIC makes one fit and KIC2 two; KIC2's first stage is KIC's C-rule fit
+    # on the same rows, so within one dataset it is made once for both.
+    from christoffel_outliers import christoffel, cli
+
+    calls = []
+    real = christoffel.fit_kic
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(christoffel, "fit_kic", counted)
+    monkeypatch.setattr(cli, "fit_kic", counted)
+    data = _write_blobs(tmp_path)
+    code = main(["bench", *flags, "--input", str(data), "--label-column", "outlier",
+                 "--output", str(tmp_path / "b.csv")])
+    assert code == EXIT_OK
+    assert len(calls) == fits
+
+
+def test_bench_joint_cells_match_single_method_runs(tmp_path):
+    # Outliers inside the inlier cloud, so that each method has its own AUPRC
+    # and a score reused for the wrong method shows in the table.
+    paths = []
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        values = np.vstack([rng.normal(size=(40, 3)), 2.5 * rng.normal(size=(8, 3))])
+        labels = [0] * 40 + [1] * 8
+        path = tmp_path / f"mixed{seed}.csv"
+        path.write_text("".join(",".join(map(repr, row)) + f",{label}\n"
+                                for row, label in zip(values.tolist(), labels)))
+        paths.append(path)
+    d1, d2 = paths
+    methods = ["KIC", "KIC2", "KIC-RBF", "KIC-RBF2"]
+
+    def cell_rows(method_list, out):
+        assert main(["bench", "--method", method_list, "--input", f"{d1},{d2}",
+                     "--label-column", "3", "--output", str(out)]) == EXIT_OK
+        return [line for line in out.read_text().splitlines() if line.startswith("cell,")]
+
+    joint = cell_rows(",".join(methods), tmp_path / "joint.csv")
+    single = [cell_rows(m, tmp_path / f"{m}.csv") for m in methods]
+    # bench writes the cells dataset by dataset, methods in the order given.
+    assert joint == [rows[dataset] for dataset in range(2) for rows in single]
+    assert len({row.split(",")[3] for row in joint}) == len(joint)
 
 
 def test_bench_requires_labels(tmp_path, capsys):
