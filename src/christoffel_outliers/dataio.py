@@ -3,15 +3,18 @@
 CSV is the only ingestion format: comma-delimited by default, optional
 header (the first non-comment row is a header when one of its cells is not
 a number), '#'-prefixed comment lines skipped, label column selected by
-name or zero-based index. A file is read in one pass, one numpy conversion
-per data row. Real datasets are the user's to supply; this module only
-prepares them and generates the synthetic Gaussian benchmark.
+name or zero-based index. The data rows are parsed by numpy's C reader;
+when it cannot vouch for its table, a row loop reads the file again and
+returns the table or names the first faulty row. Real datasets are the
+user's to supply; this module only prepares them and generates the
+synthetic Gaussian benchmark.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,32 +107,82 @@ def load_csv(
 ) -> DataMatrix:
     """Load a rectangular numeric CSV, optionally splitting out a label column.
 
-    The file is read in one pass. The first non-comment row is a header when
-    one of its cells does not parse as a number. Each data row is converted
-    with one numpy call as it is read, so cells parse as Python ``float``
-    does; finiteness (``nan`` and ``inf`` are rejected) and the 0/1 labels
-    are checked once on the stacked values. Errors name the first offending
-    file row (1-based, counting comment, blank and header lines) and, for a
-    bad cell, its column.
+    The first non-blank, non-comment row is a header when one of its cells
+    does not parse as a number. The data rows are parsed by numpy's C reader
+    (``np.loadtxt``), which reads cells as Python ``float`` does. When that
+    reader fails, or its table is empty, of another width than the first row,
+    not finite, or has a label other than 0/1, the file is read again by the
+    row loop (``_load_rows``). The loop returns the table the C reader could
+    not vouch for (a comment line after the data, a spelling such as ``1_0``)
+    or raises the error that names the first offending file row (1-based,
+    counting comment, blank and header lines) and, for a bad cell, its column.
     """
     path = Path(path)
+    loaded = _load_fast(path, label_column, delimiter)
+    values, header, label_idx = loaded or _load_rows(path, label_column, delimiter)
+    labels = None
+    if label_idx is not None:
+        labels = values[:, label_idx].astype(int)
+        values = np.delete(values, label_idx, axis=1)
+        if header is not None:
+            del header[label_idx]
+    return DataMatrix(values=values, labels=labels, feature_names=header, provenance=f"csv:{path}")
+
+
+def _load_fast(path: Path, label_column, delimiter: str):
+    """``(values, header, label_idx)`` from ``np.loadtxt``, or None to fall back.
+
+    The first row is read with the ``csv`` module; ``loadtxt`` skips every
+    physical line up to it, and the header too. Comments are not stripped
+    (``comments=None``): a ``#`` line after the first row makes ``loadtxt``
+    fail, so the row loop, which skips it, decides. None also stands for a
+    ``loadtxt`` warning (no data), an empty table, another width than the
+    first row's, a non-finite value or a label other than 0/1.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        skip = 0
+        for row in reader:
+            if _is_content(row):
+                break
+            skip = reader.line_num
+        else:
+            return None
+        header, label_idx = _first_row(path, row, label_column)
+        if header is not None:
+            skip = reader.line_num
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(
+                path, delimiter=delimiter, comments=None, quotechar='"',
+                skiprows=skip, ndmin=2, encoding="utf-8",
+            )
+        except (ValueError, UserWarning):
+            return None
+    if not len(values) or values.shape[1] != len(row) or _faulty_rows(values, label_idx).any():
+        return None
+    return values, header, label_idx
+
+
+def _load_rows(path: Path, label_column, delimiter: str):
+    """``(values, header, label_idx)`` from one pass of the ``csv`` module.
+
+    Each data row is converted with one numpy call as it is read. This is the
+    path that explains a failure: it raises the error for the first faulty
+    file row.
+    """
     header: list[str] | None = None
     width = label_idx = None
     rows: list[np.ndarray] = []
     linenos: list[int] = []
     with open(path, newline="", encoding="utf-8") as handle:
         for lineno, row in enumerate(csv.reader(handle, delimiter=delimiter), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row[0].lstrip().startswith("#"):
+            if not _is_content(row):
                 continue
             if width is None:
                 width = len(row)
-                try:
-                    np.array(row, dtype=float)
-                except ValueError:
-                    header = [cell.strip() for cell in row]
-                label_idx = _label_index(path, label_column, header, width)
+                header, label_idx = _first_row(path, row, label_column)
                 if header is not None:
                     continue
             try:
@@ -150,15 +203,32 @@ def load_csv(
         if header is not None:
             raise CsvFormatError(f"{path}: header but no data rows")
         raise CsvFormatError(f"{path}: no data rows found")
+    return _check_rows(path, delimiter, rows, linenos, label_idx), header, label_idx
 
-    values = _check_rows(path, delimiter, rows, linenos, label_idx)
-    labels = None
+
+def _is_content(row: list[str]) -> bool:
+    """Whether a parsed row is neither blank nor a ``#`` comment."""
+    if not row or (len(row) == 1 and not row[0].strip()):
+        return False
+    return not row[0].lstrip().startswith("#")
+
+
+def _first_row(path: Path, row: list[str], label_column) -> tuple[list[str] | None, int | None]:
+    """The header (None when every cell is a number) and label index of the first row."""
+    try:
+        np.array(row, dtype=float)
+        header = None
+    except ValueError:
+        header = [cell.strip() for cell in row]
+    return header, _label_index(path, label_column, header, len(row))
+
+
+def _faulty_rows(values: np.ndarray, label_idx) -> np.ndarray:
+    """Mask of the rows holding a non-finite value or a label other than 0/1."""
+    ok = np.isfinite(values).all(axis=1)
     if label_idx is not None:
-        labels = values[:, label_idx].astype(int)
-        values = np.delete(values, label_idx, axis=1)
-        if header is not None:
-            del header[label_idx]
-    return DataMatrix(values=values, labels=labels, feature_names=header, provenance=f"csv:{path}")
+        ok &= np.isin(values[:, label_idx], (0.0, 1.0))
+    return ~ok
 
 
 def _check_rows(
@@ -170,15 +240,14 @@ def _check_rows(
     cells the error message quotes. Returns the stacked values.
     """
     values = np.array(rows)
-    finite = np.isfinite(values).all(axis=1)
-    ok = finite if label_idx is None else finite & np.isin(values[:, label_idx], (0.0, 1.0))
-    if ok.all():
+    faulty = _faulty_rows(values, label_idx)
+    if not faulty.any():
         return values
-    k = int(np.argmin(ok))
+    k = int(np.argmax(faulty))
     with open(path, newline="", encoding="utf-8") as handle:
         lines = enumerate(csv.reader(handle, delimiter=delimiter), start=1)
         row = next(cells for lineno, cells in lines if lineno == linenos[k])
-    if not finite[k]:
+    if not np.isfinite(values[k]).all():
         raise _bad_cell(path, linenos[k], row)
     raise CsvFormatError(
         f"{path}: label value {row[label_idx].strip()!r} at row {linenos[k]} is not binary 0/1"

@@ -56,6 +56,13 @@ class KernelSpec:
         elif self.family == RBF:
             if self.lengthscale is None or not self.lengthscale > 0:
                 raise ValueError("rbf kernel requires lengthscale > 0")
+            # exp(-D / (2 sigma^2)) needs 2 sigma^2 and its inverse finite and nonzero.
+            scale = 2.0 * self.lengthscale * self.lengthscale
+            if not 0.0 < scale < np.inf or not 1.0 / scale < np.inf:
+                raise ValueError(
+                    f"rbf lengthscale {self.lengthscale!r} is out of range: "
+                    "2 sigma^2 and 1 / (2 sigma^2) must be finite and nonzero"
+                )
             if self.degree is not None:
                 raise ValueError("degree is a polynomial parameter, not RBF")
         else:

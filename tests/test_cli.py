@@ -150,6 +150,9 @@ def test_score_config_error_for_mismatched_flag(tmp_path, capsys):
     ["--method", "KIC", "--rho", "inf"],
     ["--method", "KIC", "--C", "inf"],
     ["--method", "KIC-RBF", "--sigma", "inf"],
+    ["--method", "KIC-RBF", "--sigma", "1e-300"],
+    ["--method", "KIC-RBF", "--sigma", "1e-160"],
+    ["--method", "KIC-RBF", "--sigma", "1e200"],
 ])
 def test_score_out_of_range_hyperparameter_is_config_error(tmp_path, capsys, flags):
     data = _write_blobs(tmp_path)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from christoffel_outliers import (
     CsvFormatError,
     DataMatrix,
     SynthGaussianConfig,
+    dataio,
     label_by_class,
     load_csv,
     normalize,
     synth_gaussian,
 )
+from christoffel_outliers.cli import EXIT_IO, main
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +150,140 @@ def test_load_custom_delimiter(tmp_path):
     path.write_text("1.0;2.0\n3.0;4.0\n")
     dm = load_csv(path, delimiter=";")
     assert dm.p == 2
+
+
+def _outcome(path, **kwargs):
+    """What ``load_csv`` gives: the shape, value bits, labels and names, or the error text."""
+    try:
+        dm = load_csv(path, **kwargs)
+    except CsvFormatError as exc:
+        return str(exc)
+    labels = None if dm.labels is None else dm.labels.tolist()
+    return dm.values.shape, dm.values.tobytes(), labels, dm.feature_names
+
+
+def _fast_and_loop(monkeypatch, path, **kwargs):
+    """``load_csv``'s outcome with its count of row-loop calls, and the row loop's own outcome."""
+    calls = []
+    real = dataio._load_rows
+    with monkeypatch.context() as m:
+        m.setattr(dataio, "_load_rows", lambda *args: calls.append(args) or real(*args))
+        fast = _outcome(path, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(dataio, "_load_fast", lambda *args: None)
+        loop = _outcome(path, **kwargs)
+    return fast, loop, len(calls)
+
+
+# Each cell spelling with the row-loop calls it costs in a data row and in
+# the first row, where a cell that is not a number makes the row a header.
+# None: the C reader may take the spelling or leave it to the row loop.
+_SPELLINGS = [
+    (" 1.5", 0, 0), ("+.5", 0, 0), ("1e5", 0, 0), ("1.", 0, 0), ("1_0", 1, 1),
+    ('"2.5"', 0, 0), ("0x10", 1, 0), ("", 1, 0), ("nan(123)", 1, 0), ("\u0661", 1, 1),
+    ("1d5", 1, 0), ("Infinity", 1, 1), ("\xa01.5", None, None),
+]
+
+# (text, keyword arguments, row-loop calls)
+_CASES = [
+    *[(f"a,b\n1,{cell}\n3,4\n", {}, calls) for cell, calls, _ in _SPELLINGS],
+    *[(f"{cell},1\n3,4\n", {}, calls) for cell, _, calls in _SPELLINGS],
+    ("a,b\n1,2#x\n3,4\n", {}, 1),
+    ("1,2\n3,4\n# end\n", {}, 1),
+    ("1,2\n \t \n3,4\n", {}, 1),
+    ("a,b,c\n1,2\n3,4\n", {}, 1),
+    ("a\n1,2\n3,4\n", {}, 1),
+    ('"a\nb",c\n1,2\n3,4\n', {}, 0),
+    ('"1\n",2\n3,4\n', {}, 0),
+    ("a,b\r\n1,2\r\n3,4\r\n", {}, 0),
+    ("\ufeffa,b\n1,2\n", {}, 0),
+    ("\ufeff1,2\n3,4\n", {}, 0),
+    ("x\n1\n2\n", {}, 0),
+    ("1\n \n2\n", {}, 1),
+    ("# note\n\nf1,y\n1.5,0\n2.5,1\n", {"label_column": "y"}, 0),
+    ("1.5,0\n2.5,1\n", {"label_column": 1}, 0),
+    ("1.5,0\n2.5,2\n", {"label_column": 1}, 1),
+    ("1;2\n3;4\n", {"delimiter": ";"}, 0),
+    ("1\t2\n3\t 4\n", {"delimiter": "\t"}, 0),
+    ("a b\n1 2\n3 4\n", {"delimiter": " "}, 0),
+    ("1  2\n3 4\n", {"delimiter": " "}, 1),
+    ("", {}, 1),
+    ("# a\n\n   \n# b\n", {}, 1),
+    ("a,b\n# c\n\n", {}, 1),
+]
+
+
+@pytest.mark.parametrize("text, kwargs, expected_calls", _CASES)
+def test_fast_path_matches_row_loop(tmp_path, monkeypatch, text, kwargs, expected_calls):
+    # The C reader's table equals the row loop's bit for bit, or the row loop
+    # runs once and decides: it returns its table or raises its exact error.
+    path = tmp_path / "case.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast, loop, calls = _fast_and_loop(monkeypatch, path, **kwargs)
+    assert fast == loop
+    if isinstance(loop, str):
+        assert calls == 1
+    if expected_calls is None:
+        assert calls <= 1
+    else:
+        assert calls == expected_calls
+
+
+def test_fast_path_loads_benchmark_csv_without_row_loop(tmp_path, monkeypatch):
+    # A fast path that always fell back would pass every other test; this one
+    # counts the row loop's calls on a clean file shaped like the benchmark's.
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((60, 30)) * rng.uniform(0.1, 50.0, size=30)
+    y = (np.arange(60) >= 55).astype(int)
+    path = tmp_path / "bench.csv"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(f"f{j + 1}" for j in range(30)) + ",outlier\n")
+        for row, label in zip(X.tolist(), y.tolist()):
+            handle.write(",".join(map(repr, row)) + f",{label}\n")
+    fast, loop, calls = _fast_and_loop(monkeypatch, path, label_column="outlier")
+    assert calls == 0
+    assert fast == loop
+    assert fast[1] == X.tobytes() and fast[2] == y.tolist()
+
+
+def test_fast_path_parses_reprs_as_python_float(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    raw = rng.integers(0, 2**64, size=16000, dtype=np.uint64).view(np.float64)
+    subnormal = rng.integers(1, 2**52, size=2000, dtype=np.uint64).view(np.float64)
+    short = [round(v, int(d)) for v, d in zip(rng.standard_normal(1990), rng.integers(0, 6, 1990))]
+    special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e-5, 0.1, 1e22]
+    values = np.concatenate([raw[np.isfinite(raw)], -subnormal, short, special])
+    values = values[: len(values) // 10 * 10]
+    cells = [repr(v) for v in values.tolist()]
+    path = tmp_path / "reprs.csv"
+    path.write_text("\n".join(",".join(cells[i:i + 10]) for i in range(0, len(cells), 10)) + "\n")
+    fast, loop, calls = _fast_and_loop(monkeypatch, path)
+    expected = np.array([float(cell) for cell in cells]).reshape(-1, 10)
+    assert len(cells) > 19000
+    assert calls == 0
+    assert fast == loop
+    assert fast[1] == expected.tobytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "no data rows found"),
+    ("# a\n\n   \n# b\n", "no data rows found"),
+    ("a,b\n", "header but no data rows"),
+    ("a,b\n# c\n\n", "header but no data rows"),
+])
+def test_empty_inputs_name_their_fault(tmp_path, capsys, text, message):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(CsvFormatError, match=message):
+            load_csv(path)
+        code = main(["score", "--method", "KNN", "--input", str(path),
+                     "--output", str(tmp_path / "out.csv")])
+    assert code == EXIT_IO
+    assert message in capsys.readouterr().err
+    assert caught == []
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,11 @@ def test_rbf_spec_requires_positive_lengthscale():
         KernelSpec.rbf(-1.0)
     with pytest.raises(ValueError):
         KernelSpec(family="rbf", lengthscale=float("nan"))
+    # 2 sigma^2 underflows to 0, 1 / (2 sigma^2) overflows, or 2 sigma^2 overflows.
+    for sigma in (1e-300, 1e-160, 1e200):
+        with pytest.raises(ValueError, match="out of range"):
+            KernelSpec.rbf(sigma)
+    assert KernelSpec.rbf(1e-150).lengthscale == 1e-150
 
 
 def test_mixed_parameters_rejected():
