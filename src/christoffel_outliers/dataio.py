@@ -139,7 +139,7 @@ def _load_fast(path: Path, label_column, delimiter: str):
     ``loadtxt`` warning (no data), an empty table, another width than the
     first row's, a non-finite value or a label other than 0/1.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         skip = 0
         for row in reader:
@@ -156,7 +156,7 @@ def _load_fast(path: Path, label_column, delimiter: str):
         try:
             values = np.loadtxt(
                 path, delimiter=delimiter, comments=None, quotechar='"',
-                skiprows=skip, ndmin=2, encoding="utf-8",
+                skiprows=skip, ndmin=2, encoding="utf-8-sig",
             )
         except (ValueError, UserWarning):
             return None
@@ -176,7 +176,7 @@ def _load_rows(path: Path, label_column, delimiter: str):
     width = label_idx = None
     rows: list[np.ndarray] = []
     linenos: list[int] = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for lineno, row in enumerate(csv.reader(handle, delimiter=delimiter), start=1):
             if not _is_content(row):
                 continue
@@ -244,7 +244,7 @@ def _check_rows(
     if not faulty.any():
         return values
     k = int(np.argmax(faulty))
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         lines = enumerate(csv.reader(handle, delimiter=delimiter), start=1)
         row = next(cells for lineno, cells in lines if lineno == linenos[k])
     if not np.isfinite(values[k]).all():
@@ -278,6 +278,8 @@ def _label_index(path: Path, label_column, header: list[str] | None, width: int)
         label_idx = header.index(label_column)
     if not 0 <= label_idx < width:
         raise CsvFormatError(f"{path}: label column index {label_idx} out of range for {width} columns")
+    if width == 1:
+        raise CsvFormatError(f"{path}: the label column is the only column; no feature columns remain")
     return label_idx
 
 

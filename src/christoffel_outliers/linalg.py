@@ -12,12 +12,13 @@ training columns V, expressed purely through the kernel triple (G, g, gamma).
 
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cython_blas, solve_triangular
 from scipy.linalg.blas import dtrsv
 
 # Jitter multiples of ||A||_F / sqrt(n), escalated only after a plain
@@ -68,9 +69,20 @@ class RidgeSolution:
 
 
 def frobenius_norm(A) -> float:
-    """sqrt of the sum of squared entries."""
+    """sqrt of the sum of squared entries.
+
+    When that sum overflows, the entries are first divided by the largest
+    magnitude m and the result is m times the norm of the quotient, so
+    every result that was finite keeps its bits.
+    """
     A = np.asarray(A, dtype=float)
-    return float(np.sqrt(np.sum(A * A)))
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum(A * A)))
+    if not math.isfinite(norm):
+        m = float(np.max(np.abs(A)))
+        if math.isfinite(m):
+            return m * float(np.sqrt(np.sum(np.square(A / m))))
+    return norm
 
 
 def spd_factor(A, jitter_scales: tuple[float, ...] = JITTER_SCALES) -> SpdFactorization:
@@ -179,23 +191,80 @@ def ridge_objective_from_factor(factorization: SpdFactorization, g, gamma: float
     return float(_clamp_objective(_objective(factorization, g, gamma), gamma))
 
 
-def _objective(factorization: SpdFactorization, g: np.ndarray, gamma: float) -> float:
+def _objective(
+    factorization: SpdFactorization, g: np.ndarray, gamma: float, release_gil: bool = False
+) -> float:
     """``ridge_objective_from_factor`` before the clamp, for a float vector g of length n.
 
     g is checked for finiteness only. BLAS trsv runs directly on L^T, an
     F-ordered view of the stored factor: no copy, and none of
     ``solve_triangular``'s argument handling, which at a few hundred rows
-    costs as much as the solve.
+    costs as much as the solve. With ``release_gil`` the same routine is
+    called through ``_dtrsv_nogil``, so threads scoring other rows run
+    meanwhile; the result has the same bits.
     """
     if not np.isfinite(g).all():
         raise ValueError("rhs contains non-finite values")
+    trsv = _dtrsv_nogil if release_gil else dtrsv
     upper = factorization.lower.T
-    z = dtrsv(upper, g, lower=0, trans=1)
+    z = trsv(upper, g, trans=1)
     value = gamma - float(z @ z)
     if factorization.jitter_applied:
-        theta = dtrsv(upper, z, lower=0, trans=0)
+        theta = trsv(upper, z, trans=0)
         value -= factorization.jitter_applied * float(theta @ theta)
     return value
+
+
+def _cython_blas_function(name: str, prototype):
+    """The BLAS routine ``name`` that ``scipy.linalg.cython_blas`` exports, as a ctypes call.
+
+    The exported capsule holds the function pointer; a ``CFUNCTYPE`` call
+    releases the GIL for its duration.
+    """
+    capsule = cython_blas.__pyx_capi__[name]
+    as_py = ctypes.PYFUNCTYPE
+    get_name = as_py(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = as_py(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    return prototype(get_pointer(capsule, get_name(capsule)))
+
+
+_INT_P = ctypes.POINTER(ctypes.c_int)
+# void dtrsv(char *uplo, char *trans, char *diag, int *n, double *a, int *lda,
+#            double *x, int *incx)
+_DTRSV = _cython_blas_function(
+    "dtrsv",
+    ctypes.CFUNCTYPE(
+        None, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, _INT_P,
+        ctypes.c_void_p, _INT_P, ctypes.c_void_p, _INT_P,
+    ),
+)
+_ONE = ctypes.c_int(1)
+
+
+def _dtrsv_nogil(a: np.ndarray, x: np.ndarray, trans: int = 0) -> np.ndarray:
+    """``scipy.linalg.blas.dtrsv(a, x, trans=trans)`` without holding the GIL.
+
+    Solves op(U) z = x for the upper triangle U of the square F-ordered
+    float matrix a, op transposing when ``trans`` is 1, and returns z as a
+    new array. It calls the BLAS routine that the f2py wrapper calls, with
+    the same arguments, so z has the same bits.
+    """
+    n = a.shape[0]
+    if a.dtype != np.float64 or a.shape != (n, n) or not a.flags.f_contiguous:
+        raise ValueError("a must be a square F-ordered float64 matrix")
+    if trans not in (0, 1):
+        raise ValueError("trans must be 0 or 1")
+    z = np.array(x, dtype=np.float64)
+    if z.shape != (n,):
+        raise ValueError(f"x must have shape ({n},), got {z.shape}")
+    size = ctypes.c_int(n)
+    _DTRSV(
+        b"U", b"T" if trans else b"N", b"N",
+        size, a.ctypes.data, size, z.ctypes.data, _ONE,
+    )
+    return z
 
 
 def cg_ridge_solve(

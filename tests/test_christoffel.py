@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -395,6 +398,113 @@ def test_kic_scores_make_one_triangular_solve_per_row(monkeypatch, rho, solves_p
         assert matrix.flags.f_contiguous
         assert np.shares_memory(matrix, model.factorization.lower)
     assert np.all(scores > 0.0)
+
+
+def _record_split(monkeypatch, workers=2):
+    """Give kic_scores ``workers`` CPUs and record the thread of every GIL-free solve.
+
+    Each thread's first solve waits until ``workers`` threads have arrived, so
+    the chunks must run at the same time, each on a thread of its own.
+    """
+    monkeypatch.setattr(christoffel, "_cpu_count", lambda: workers)
+    threads = []
+    started = set()
+    barrier = threading.Barrier(workers, timeout=10)
+    real = linalg._dtrsv_nogil
+
+    def recorded(*args, **kwargs):
+        ident = threading.get_ident()
+        if ident not in started:
+            started.add(ident)
+            barrier.wait()
+        threads.append(ident)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_dtrsv_nogil", recorded)
+    return threads
+
+
+def _split_case(kernel, rho, repeated):
+    rng = np.random.default_rng(41)
+    if repeated:
+        X = np.repeat(rng.normal(size=(christoffel._SPLIT_MIN_N // 2, 2)) * 2.0, 2, axis=0)
+    else:
+        X = rng.normal(size=(christoffel._SPLIT_MIN_N, 3))
+    return fit_kic(X, kernel, rho), rng.normal(size=(256, X.shape[1])) * 2.0
+
+
+@pytest.mark.parametrize("kernel, rho, repeated", [
+    (KernelSpec.polynomial(2), 0.05, False),
+    (KernelSpec.rbf(1.5), 0.05, False),
+    (KernelSpec.rbf(1.0), 1e-20, True),
+])
+def test_split_batch_matches_per_point_scores(monkeypatch, kernel, rho, repeated):
+    # Each chunk's rows go through the same per-row loop on their own thread,
+    # so every score keeps the bits of a one-row call.
+    model, Q = _split_case(kernel, rho, repeated)
+    assert (model.factorization.jitter_applied > 0.0) == repeated
+    threads = _record_split(monkeypatch)
+    scores = kic_scores(model, Q)
+    assert len(threads) == (2 if repeated else 1) * len(Q)
+    assert len(set(threads)) == 2 and threading.get_ident() not in threads
+    threads.clear()
+    expected = np.array([kic_score(model, q) for q in Q])
+    assert threads == []
+    assert scores.tobytes() == expected.tobytes()
+
+
+def test_split_batch_over_more_threads_than_cores(monkeypatch):
+    # Seven uneven chunks with frequent thread switches: every row is written
+    # once, by its own chunk, with the serial loop's bits.
+    model, Q = _split_case(KernelSpec.rbf(1.5), 0.05, False)
+    expected = np.array([kic_score(model, q) for q in Q])
+    threads = _record_split(monkeypatch, workers=7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        scores = kic_scores(model, Q)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) == len(Q) and len(set(threads)) == 7
+    assert scores.tobytes() == expected.tobytes()
+
+
+def test_small_batches_and_small_fits_stay_on_the_calling_thread(monkeypatch):
+    model, Q = _split_case(KernelSpec.polynomial(2), 0.05, False)
+    small = fit_kic(model.training[:-1], KernelSpec.polynomial(2), 0.05)
+    threads = _record_split(monkeypatch)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    with monkeypatch.context() as m:
+        m.setattr(christoffel, "ThreadPoolExecutor", no_pool)
+        kic_score(model, Q[0])
+        kic_scores(model, Q[: christoffel._SPLIT_MIN_ROWS - 1])
+        kic_scores(small, Q[: christoffel._SPLIT_MIN_ROWS])
+        m.setattr(christoffel, "_cpu_count", lambda: 1)
+        kic_scores(model, Q)
+    assert threads == []
+    kic_scores(model, Q[: christoffel._SPLIT_MIN_ROWS])
+    assert len(set(threads)) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_split_batch_keeps_the_callers_errstate(monkeypatch, workers):
+    # Row 200 of 256 overflows the polynomial kernel. The caller's
+    # np.errstate reaches the thread scoring it, and the row then fails the
+    # finiteness check as it does in the serial loop.
+    model, Q = _split_case(KernelSpec.polynomial(2), 0.05, False)
+    Q[200] = 1e200
+    threads = _record_split(monkeypatch, workers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="rhs contains non-finite values"):
+            kic_scores(model, Q)
+    assert len(set(threads)) == (0 if workers == 1 else workers)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="rhs contains non-finite values"):
+            kic_scores(model, Q)
 
 
 def test_kic_scores_do_not_revalidate_training_rows(monkeypatch):

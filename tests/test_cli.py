@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,21 @@ def test_score_records_derived_rho(tmp_path):
     assert float(meta["rho"]) > 0.0
     assert meta["degree"] == "2"
     assert meta["C"] == "500.0"
+    assert len(scores) == 48
+
+
+def test_score_huge_rho_runs_without_warning(tmp_path):
+    # rho = 1e200 puts entries near 1e200 on the factorized diagonal, whose
+    # squares overflow; the Frobenius norm of the fit must not warn.
+    data = _write_blobs(tmp_path, seed=4)
+    out = tmp_path / "huge.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["score", "--method", "KIC", "--rho", "1e200", "--input", str(data),
+                     "--label-column", "outlier", "--output", str(out)])
+    assert code == EXIT_OK
+    meta, scores = _read_scores(out)
+    assert meta["rho"] == "1e+200"
     assert len(scores) == 48
 
 
@@ -581,3 +597,32 @@ def test_cli_import_does_not_load_scipy_stats():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_score_output_does_not_depend_on_cpu_count(tmp_path):
+    # KIC-RBF scores 1000 rows on a 1000-row fit, a batch that kic_scores
+    # splits over the CPUs of the affinity mask; on one CPU it runs serially.
+    # BLAS runs one thread in both children, as its own threaded routines
+    # round by thread count.
+    rng = np.random.default_rng(31)
+    data = tmp_path / "wide.csv"
+    data.write_text("\n".join(",".join(repr(float(v)) for v in row)
+                              for row in rng.normal(size=(1000, 4))) + "\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CHRISTOFFEL_")}
+    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    probe = ("import os, sys\n"
+             "if sys.argv[1] == 'one':\n"
+             "    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])\n"
+             "from christoffel_outliers.cli import main\n"
+             "sys.exit(main(sys.argv[2:]))\n")
+    outputs = []
+    for mask in ("all", "one"):
+        out = tmp_path / f"{mask}.csv"
+        subprocess.run([sys.executable, "-c", probe, mask, "score", "--method", "KIC-RBF",
+                        "--input", str(data), "--output", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -109,6 +109,35 @@ def test_load_missing_label_column(tmp_path):
         load_csv(raw, label_column="outlier")
 
 
+def test_load_rejects_label_only_file(tmp_path, capsys):
+    # Splitting off the only column would leave no features to score.
+    for text, label in (("0\n1\n0\n", 0), ("y\n0\n1\n0\n", "y")):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match="the label column is the only column"):
+            load_csv(path, label_column=label)
+        code = main(["score", "--method", "KNN", "--label-column", str(label),
+                     "--input", str(path), "--output", str(tmp_path / "out.csv")])
+        assert code == EXIT_IO
+        assert "only column" in capsys.readouterr().err
+
+
+def test_load_strips_utf8_bom(tmp_path, monkeypatch):
+    # A byte-order mark is not part of the first cell: a first data row
+    # stays data, and a header's first name loses it.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(bytes.fromhex("EFBBBF 312C32 0A 332C34 0A 352C36 0A"))
+    fast, loop, calls = _fast_and_loop(monkeypatch, path)
+    assert fast == loop and calls == 0
+    assert fast[1] == np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]).tobytes()
+    assert fast[3] is None
+    path.write_bytes("\ufefff1,y\n0,1\n1,0\n".encode("utf-8"))
+    for label, names in (("y", ["f1"]), ("f1", ["y"])):
+        fast, loop, calls = _fast_and_loop(monkeypatch, path, label_column=label)
+        assert fast == loop and calls == 0
+        assert fast[3] == names
+
+
 def test_load_skips_comment_lines(tmp_path):
     path = tmp_path / "meta.csv"
     path.write_text("# tool = x\n# seed = 0\n1.0,2.0\n3.0,4.0\n")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.blas import dtrsv
 
 from christoffel_outliers import (
     ConvergenceError,
@@ -15,6 +16,7 @@ from christoffel_outliers import (
     spd_factor,
     spd_solve,
 )
+from christoffel_outliers import linalg
 
 from helpers import random_spd_triple
 
@@ -250,3 +252,42 @@ def test_frobenius_cases():
     assert frobenius_norm(np.zeros((3, 3))) == 0.0
     assert frobenius_norm(np.eye(4)) == 2.0
     assert frobenius_norm(np.array([[3.0, 4.0], [0.0, 0.0]])) == 5.0
+
+
+def test_frobenius_does_not_overflow():
+    # A sum of squares that overflows is taken on the entries divided by the
+    # largest magnitude; a sum that does not keeps the plain expression's bits.
+    assert frobenius_norm(np.full((2, 2), 1e200)) == 2e200
+    assert frobenius_norm(np.array([[3e300, -4e300]])) == 5e300
+    A = np.random.default_rng(4).normal(size=(30, 30)) * 1e150
+    assert frobenius_norm(A) == float(np.sqrt(np.sum(A * A)))
+    assert frobenius_norm(np.array([[np.inf, 1.0]])) == np.inf
+
+
+# ---------------------------------------------------------------------------
+# GIL-free trsv
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 7, 500])
+@pytest.mark.parametrize("trans", [0, 1])
+def test_gil_free_trsv_matches_scipy_dtrsv(n, trans):
+    rng = np.random.default_rng(n)
+    B = rng.normal(size=(n, n))
+    upper = np.linalg.cholesky(B @ B.T + n * np.eye(n)).T
+    for x in rng.normal(size=(20, n)):
+        expected = dtrsv(upper, x, trans=trans)
+        got = linalg._dtrsv_nogil(upper, x, trans=trans)
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_gil_free_trsv_checks_its_arguments():
+    upper = np.linalg.cholesky(np.eye(3) * 2.0).T
+    with pytest.raises(ValueError, match="F-ordered"):
+        linalg._dtrsv_nogil(np.ascontiguousarray(upper), np.ones(3))
+    with pytest.raises(ValueError, match="F-ordered"):
+        linalg._dtrsv_nogil(np.asfortranarray(upper[:, :2]), np.ones(3))
+    with pytest.raises(ValueError, match="shape"):
+        linalg._dtrsv_nogil(upper, np.ones(4))
+    with pytest.raises(ValueError, match="trans"):
+        linalg._dtrsv_nogil(upper, np.ones(3), trans=2)
