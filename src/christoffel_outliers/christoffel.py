@@ -199,7 +199,7 @@ def _ic_scores_from_map(fm: FeatureMap, X: np.ndarray, queries: np.ndarray) -> n
         )
     phi = feature_matrix(fm, X)
     try:
-        factor = spd_factor(phi.T @ phi / X.shape[0], jitter_scales=())
+        factor = spd_factor(phi.T @ phi / X.shape[0])
     except NotPositiveDefiniteError as exc:
         raise MomentMatrixError(
             "moment matrix not positive definite; the data may lie on a "
@@ -214,9 +214,8 @@ def ic_scores(
 ) -> np.ndarray:
     """Moment-matrix scores q(x) = v(x)^T M^{-1} v(x) for each query row.
 
-    M = L L^T is factorized without jitter, since masking a singular M would
-    silently change every score; each score is ||L^{-1} v(x)||^2, from one
-    forward substitution for all queries.
+    M = L L^T is factorized as it is; each score is ||L^{-1} v(x)||^2, from
+    one forward substitution for all queries.
 
     Raises:
         FeatureDimensionError: if the monomial basis exceeds ``dim_limit``.
@@ -269,19 +268,31 @@ def fit_kic(
 
     The Gram matrix is built once. When ``rho`` is None it comes from
     ``default_rho`` on that same scaled Gram with divisor ``C``; the model
-    records the effective value.
+    records the effective value, at which the factor is exact.
+
+    Raises:
+        ValueError: if the effective rho is not positive and finite.
+        NotPositiveDefiniteError: if rho I + G/n is not positive definite.
     """
     X = as_matrix(X)
-    if rho is not None and not rho > 0:
-        raise ValueError("rho must be positive")
     n = X.shape[0]
     # Scale the fresh Gram and add rho to its diagonal in place: no n x n temporaries.
     A = gram_matrix(kernel, X)
     A /= n
+    origin = "given"
     if rho is None:
-        rho = default_rho(A, C)
+        rho, origin = default_rho(A, C), f"from C = {C:g}"
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got rho = {rho:g} ({origin})")
     A.flat[:: n + 1] += rho
-    factor = spd_factor(A)
+    try:
+        factor = spd_factor(A)
+    except NotPositiveDefiniteError as exc:
+        A.flat[:: n + 1] -= rho
+        raise NotPositiveDefiniteError(
+            f"rho I + G/n is not positive definite at rho = {rho:g} "
+            f"(||G/n||_F = {frobenius_norm(A):g}); use a larger rho or a smaller C"
+        ) from exc
     return ChristoffelModel(kernel=kernel, rho=float(rho), training=X, factorization=factor)
 
 

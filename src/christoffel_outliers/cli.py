@@ -46,7 +46,7 @@ from .christoffel import (
 from .dataio import CsvFormatError, DataMatrix, SynthGaussianConfig, load_csv, normalize, synth_gaussian
 from .evaluation import pr_curve, summarize
 from .kernels import KernelSpec
-from .linalg import ConvergenceError, NotPositiveDefiniteError
+from .linalg import NotPositiveDefiniteError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,7 +93,6 @@ _NUMERIC_ERRORS = (
     FeatureDimensionError,
     MomentMatrixError,
     NotPositiveDefiniteError,
-    ConvergenceError,
     np.linalg.LinAlgError,
 )
 

@@ -1,7 +1,8 @@
 """Dense symmetric positive-definite solves and kernel-space ridge regression.
 
-Cholesky factorization with escalating diagonal jitter handles nearly
-singular matrices; a hand-rolled conjugate-gradient path solves the
+A matrix is factorized by one plain Cholesky, and one that is not
+positive definite in double precision is an error, never silently
+perturbed. A hand-rolled conjugate-gradient path solves the
 kernel-space normal equations (G + rho I) theta = g, whose optimal value
 
     gamma - g.theta  =  min_theta ||V theta - v||^2 + rho ||theta||^2
@@ -21,16 +22,12 @@ import numpy as np
 from scipy.linalg import cython_blas, solve_triangular
 from scipy.linalg.blas import dtrsv
 
-# Jitter multiples of ||A||_F / sqrt(n), escalated only after a plain
-# factorization fails.
-JITTER_SCALES = (1e-12, 1e-10, 1e-8)
-
 # Relative slack below zero beyond which the objective clamp warns.
 _CLAMP_WARN_TOL = 1e-8
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Raised when a matrix cannot be Cholesky-factorized even with jitter."""
+    """Raised when a matrix cannot be Cholesky-factorized."""
 
 
 class ConvergenceError(RuntimeError):
@@ -44,14 +41,19 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpdFactorization:
-    """Lower Cholesky factor of A + jitter_applied * I."""
+    """Lower Cholesky factor L of A, with L L^T = A."""
 
     lower: np.ndarray
-    jitter_applied: float
 
     @property
     def n(self) -> int:
         return self.lower.shape[0]
+
+    @property
+    def jitter_applied(self) -> float:
+        """Always 0.0: a factor is of A itself. Kept only because perfbench's
+        tracer reads it for its ``linalg.jitter_applied`` count."""
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -85,16 +87,12 @@ def frobenius_norm(A) -> float:
     return norm
 
 
-def spd_factor(A, jitter_scales: tuple[float, ...] = JITTER_SCALES) -> SpdFactorization:
-    """Cholesky-factorize a symmetric matrix, escalating jitter on failure.
-
-    Jitter candidates are ``jitter_scales`` times ||A||_F / sqrt(n), tried in
-    order after the unmodified factorization fails. Pass an empty tuple to
-    forbid jitter entirely.
+def spd_factor(A) -> SpdFactorization:
+    """Cholesky-factorize a symmetric matrix.
 
     Raises:
-        NotPositiveDefiniteError: if every candidate fails.
-        ValueError: if A is not square or not symmetric.
+        NotPositiveDefiniteError: if A is not positive definite in double precision.
+        ValueError: if A is not square, not finite or not symmetric.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -104,16 +102,10 @@ def spd_factor(A, jitter_scales: tuple[float, ...] = JITTER_SCALES) -> SpdFactor
     norm = frobenius_norm(A)
     if frobenius_norm(A - A.T) > 1e-8 * max(norm, 1e-300):
         raise ValueError("matrix is not symmetric")
-    n = A.shape[0]
-    base = norm / math.sqrt(n)
-    for jitter in (0.0, *(s * base for s in jitter_scales)):
-        try:
-            target = A if jitter == 0.0 else A + jitter * np.eye(n)
-            lower = np.linalg.cholesky(target)
-        except np.linalg.LinAlgError:
-            continue
-        return SpdFactorization(lower=lower, jitter_applied=jitter)
-    raise NotPositiveDefiniteError("not positive definite")
+    try:
+        return SpdFactorization(lower=np.linalg.cholesky(A))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("not positive definite") from exc
 
 
 def _forward(factorization: SpdFactorization, b) -> np.ndarray:
@@ -130,7 +122,7 @@ def _forward(factorization: SpdFactorization, b) -> np.ndarray:
 
 
 def spd_solve(factorization: SpdFactorization, b) -> np.ndarray:
-    """Solve (A + jitter I) x = b from a prior factorization.
+    """Solve A x = b from a prior factorization of A.
 
     ``b`` may be a vector or a matrix of stacked right-hand-side columns.
     """
@@ -178,10 +170,8 @@ def ridge_objective_from_factor(factorization: SpdFactorization, g, gamma: float
     """Optimal regularized distance gamma - g^T (rho I + G)^{-1} g from the factor.
 
     The factorization must be of (rho I + G). With L L^T = rho I + G and
-    z = L^{-1} g the value is gamma - ||z||^2: one forward substitution. If
-    the factor carries jitter, it is of (rho I + G + jitter I); the value
-    then also subtracts jitter ||theta||^2 with theta = L^{-T} z, which is
-    the ridge objective at that theta. Clamped at zero.
+    z = L^{-1} g the value is gamma - ||z||^2: one forward substitution.
+    Clamped at zero.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (factorization.n,):
@@ -206,13 +196,8 @@ def _objective(
     if not np.isfinite(g).all():
         raise ValueError("rhs contains non-finite values")
     trsv = _dtrsv_nogil if release_gil else dtrsv
-    upper = factorization.lower.T
-    z = trsv(upper, g, trans=1)
-    value = gamma - float(z @ z)
-    if factorization.jitter_applied:
-        theta = trsv(upper, z, trans=0)
-        value -= factorization.jitter_applied * float(theta @ theta)
-    return value
+    z = trsv(factorization.lower.T, g, trans=1)
+    return gamma - float(z @ z)
 
 
 def _cython_blas_function(name: str, prototype):

@@ -374,15 +374,13 @@ def test_kic2_stage_two_on_given_stage_one_scores(kernel):
                           kic2_scores(X, kernel, 500.0, 0.6))
 
 
-@pytest.mark.parametrize("rho, solves_per_row", [(0.05, 1), (1e-20, 2)])
+@pytest.mark.parametrize("rho, solves_per_row", [(0.05, 1)])
 def test_kic_scores_make_one_triangular_solve_per_row(monkeypatch, rho, solves_per_row):
-    # Without jitter a row costs one forward substitution; with jitter the
-    # back substitution for theta is added. Each call runs on the stored
-    # factor itself, never on a per-row copy.
+    # A row costs one forward substitution, which runs on the stored factor
+    # itself, never on a per-row copy.
     rng = np.random.default_rng(22)
     X = np.repeat(rng.normal(size=(5, 2)) * 2.0, 2, axis=0)
     model = fit_kic(X, KernelSpec.rbf(1.0), rho)
-    assert (model.factorization.jitter_applied > 0.0) == (solves_per_row == 2)
     calls = []
     real = linalg.dtrsv
 
@@ -408,16 +406,17 @@ def _record_split(monkeypatch, workers=2):
     """
     monkeypatch.setattr(christoffel, "_cpu_count", lambda: workers)
     threads = []
-    started = set()
+    # Per thread, not per ident: a later pool's thread may reuse the ident of
+    # an earlier one and must still wait.
+    started = threading.local()
     barrier = threading.Barrier(workers, timeout=10)
     real = linalg._dtrsv_nogil
 
     def recorded(*args, **kwargs):
-        ident = threading.get_ident()
-        if ident not in started:
-            started.add(ident)
+        if not getattr(started, "waited", False):
+            started.waited = True
             barrier.wait()
-        threads.append(ident)
+        threads.append(threading.get_ident())
         return real(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "_dtrsv_nogil", recorded)
@@ -436,16 +435,14 @@ def _split_case(kernel, rho, repeated):
 @pytest.mark.parametrize("kernel, rho, repeated", [
     (KernelSpec.polynomial(2), 0.05, False),
     (KernelSpec.rbf(1.5), 0.05, False),
-    (KernelSpec.rbf(1.0), 1e-20, True),
 ])
 def test_split_batch_matches_per_point_scores(monkeypatch, kernel, rho, repeated):
     # Each chunk's rows go through the same per-row loop on their own thread,
     # so every score keeps the bits of a one-row call.
     model, Q = _split_case(kernel, rho, repeated)
-    assert (model.factorization.jitter_applied > 0.0) == repeated
     threads = _record_split(monkeypatch)
     scores = kic_scores(model, Q)
-    assert len(threads) == (2 if repeated else 1) * len(Q)
+    assert len(threads) == len(Q)
     assert len(set(threads)) == 2 and threading.get_ident() not in threads
     threads.clear()
     expected = np.array([kic_score(model, q) for q in Q])

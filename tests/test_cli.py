@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -140,6 +141,26 @@ def test_score_huge_rho_runs_without_warning(tmp_path):
     meta, scores = _read_scores(out)
     assert meta["rho"] == "1e+200"
     assert len(scores) == 48
+
+
+@pytest.mark.parametrize("flags, message", [
+    # Degree-2 features of 3 columns span at most 10 dimensions, so G/n has
+    # rank 10 of 48 and rho = 1e-300 leaves rho I + G/n singular.
+    (["--rho", "1e-300"], r"not positive definite at rho = 1e-300 \(\|\|G/n\|\|_F = "),
+    # The C rule underflows to rho = 0 and overflows to rho = inf.
+    (["--C", "1e308"], r"rho = 0 \(from C = 1e\+308\)"),
+    (["--C", "1e-310"], r"rho = inf \(from C = 1e-310\)"),
+], ids=["rho-1e-300", "C-1e308", "C-1e-310"])
+def test_score_fails_naming_the_rho_it_cannot_use(tmp_path, capsys, flags, message):
+    # No fit is perturbed into passing at another rho: the run fails and
+    # names rho, and writes no file.
+    data = _write_blobs(tmp_path, seed=4)
+    out = tmp_path / "scores.csv"
+    code = main(["score", "--method", "KIC", *flags, "--input", str(data),
+                 "--label-column", "outlier", "--output", str(out)])
+    assert code == EXIT_NUMERIC
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_score_config_error_for_mismatched_flag(tmp_path, capsys):

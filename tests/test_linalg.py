@@ -6,9 +6,8 @@ from christoffel_outliers import (
     ConvergenceError,
     KernelSpec,
     NotPositiveDefiniteError,
-    SpdFactorization,
     cg_ridge_solve,
-    cross_vector,
+    fit_kic,
     frobenius_norm,
     gram_matrix,
     ridge_objective,
@@ -49,14 +48,10 @@ def test_factor_reconstructs_kernel_system():
     assert F.jitter_applied == 0.0
 
 
-def test_factor_escalates_jitter_on_singular_input():
-    # Rank-one matrix: plain Cholesky fails, jitter rescues it.
-    A = np.ones((3, 3))
-    F = spd_factor(A)
-    assert F.jitter_applied > 0.0
-    recon = F.lower @ F.lower.T
-    target = A + F.jitter_applied * np.eye(3)
-    assert np.linalg.norm(recon - target, "fro") <= 1e-8 * np.linalg.norm(target, "fro")
+def test_factor_rejects_singular_input():
+    # Rank-one matrix: plain Cholesky fails, and nothing perturbs it to pass.
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+        spd_factor(np.ones((3, 3)))
 
 
 def test_factor_rejects_indefinite():
@@ -69,11 +64,6 @@ def test_factor_rejects_asymmetric_and_zero():
         spd_factor(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(NotPositiveDefiniteError):
         spd_factor(np.zeros((2, 2)))
-
-
-def test_factor_empty_jitter_schedule_forbids_jitter():
-    with pytest.raises(NotPositiveDefiniteError):
-        spd_factor(np.ones((3, 3)), jitter_scales=())
 
 
 # ---------------------------------------------------------------------------
@@ -210,29 +200,13 @@ def test_objective_from_factor_matches_ridge_objective():
         assert abs(ridge_objective_from_factor(F, g, gamma) - reference) <= 1e-10 * gamma
 
 
-def test_objective_from_factor_matches_ridge_objective_with_jitter():
+def test_fit_on_singular_kernel_system_fails_naming_rho():
     # Repeated rows and rho = 1e-20 leave rho I + G singular in double
-    # precision, so the factor carries jitter and the score subtracts its term.
+    # precision. The fit fails and names rho instead of scoring at a larger one.
     rng = np.random.default_rng(21)
     X = np.repeat(rng.normal(size=(4, 2)) * 2.0, 2, axis=0)
-    kernel = KernelSpec.rbf(1.0)
-    n = X.shape[0]
-    G = gram_matrix(kernel, X) / n
-    rho = 1e-20
-    F = spd_factor(G + rho * np.eye(n))
-    assert F.jitter_applied > 0.0
-    for x in rng.normal(size=(10, 2)) * 2.0:
-        g, gamma = cross_vector(kernel, X, x)
-        g = g / np.sqrt(n)
-        reference = ridge_objective(G, g, gamma, rho, spd_solve(F, g))
-        assert abs(ridge_objective_from_factor(F, g, gamma) - reference) <= 1e-10 * gamma
-    # There the jitter term is below the tolerance; a factor built with a
-    # large jitter on a well-conditioned system pins its value and sign.
-    G, g, gamma = random_spd_triple(rng, 6)
-    rho, jitter = 0.1, 0.5
-    F = SpdFactorization(np.linalg.cholesky(G + (rho + jitter) * np.eye(6)), jitter)
-    reference = ridge_objective(G, g, gamma, rho, spd_solve(F, g))
-    assert abs(ridge_objective_from_factor(F, g, gamma) - reference) <= 1e-10 * gamma
+    with pytest.raises(NotPositiveDefiniteError, match=r"rho = 1e-20 \(\|\|G/n\|\|_F = "):
+        fit_kic(X, KernelSpec.rbf(1.0), 1e-20)
 
 
 def test_objective_clamped_at_zero_with_warning():
