@@ -48,8 +48,27 @@ def test_factor_reconstructs_kernel_system():
     assert F.jitter_applied == 0.0
 
 
-def test_factor_rejects_singular_input():
-    # Rank-one matrix: plain Cholesky fails, and nothing perturbs it to pass.
+def test_factor_escalates_jitter_on_singular_input(monkeypatch):
+    # spd_factor no longer escalates jitter: on a rank-one matrix it makes
+    # exactly one Cholesky attempt and fails, instead of retrying A + jitter I.
+    attempts = []
+    cholesky = np.linalg.cholesky
+
+    def counting_cholesky(a):
+        attempts.append(np.array(a, copy=True))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    A = np.ones((3, 3))
+    with pytest.raises(NotPositiveDefiniteError):
+        spd_factor(A)
+    assert len(attempts) == 1
+    assert np.array_equal(attempts[0], A)
+
+
+def test_factor_empty_jitter_schedule_forbids_jitter():
+    # Every factorization runs without jitter, so a rank-one matrix, which
+    # plain Cholesky cannot factor, fails rather than being perturbed to pass.
     with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
         spd_factor(np.ones((3, 3)))
 
