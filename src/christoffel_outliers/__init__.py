@@ -16,6 +16,7 @@ from .christoffel import (
     FeatureDimensionError,
     FeatureMap,
     MomentMatrixError,
+    RhoRangeError,
     apply_feature_map,
     build_feature_map,
     default_rho,

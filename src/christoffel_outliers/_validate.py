@@ -12,7 +12,7 @@ def as_matrix(X, name: str = "X") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got shape {X.shape}")
     if X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and one column")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError(f"{name} contains non-finite values")
     return X
 
@@ -24,6 +24,6 @@ def as_vector(x, name: str = "x") -> np.ndarray:
         raise ValueError(f"{name} must be 1-dimensional, got shape {x.shape}")
     if x.shape[0] < 1:
         raise ValueError(f"{name} must have at least one entry")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite values")
     return x

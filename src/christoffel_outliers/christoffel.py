@@ -65,6 +65,10 @@ class MomentMatrixError(ValueError):
     """The empirical moment matrix is not positive definite."""
 
 
+class RhoRangeError(ValueError):
+    """The effective regularization rho is not positive and finite."""
+
+
 @dataclass(frozen=True)
 class FeatureMap:
     """Scaled monomial basis of all exponents alpha with |alpha| <= degree.
@@ -271,7 +275,7 @@ def fit_kic(
     records the effective value, at which the factor is exact.
 
     Raises:
-        ValueError: if the effective rho is not positive and finite.
+        RhoRangeError: if the effective rho is not positive and finite.
         NotPositiveDefiniteError: if rho I + G/n is not positive definite.
     """
     X = as_matrix(X)
@@ -283,7 +287,7 @@ def fit_kic(
     if rho is None:
         rho, origin = default_rho(A, C), f"from C = {C:g}"
     if not 0 < rho < math.inf:
-        raise ValueError(f"rho must be positive and finite, got rho = {rho:g} ({origin})")
+        raise RhoRangeError(f"rho must be positive and finite, got rho = {rho:g} ({origin})")
     A.flat[:: n + 1] += rho
     try:
         factor = spd_factor(A)
@@ -303,8 +307,9 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     raw self-kernel value. With the stored factor L L^T = rho I + G each
     value is gamma - ||L^{-1} g||^2: one matrix-vector product for the
     kernel row and one BLAS triangular solve per row. The values are
-    clamped at zero together at the end. Q is checked here, each kernel row
-    for finiteness once, and the training rows were checked by ``fit_kic``.
+    clamped at zero in row order at the end, on the calling thread. Q is
+    checked here, a kernel row for finiteness only when its solve comes out
+    non-finite, and the training rows were checked by ``fit_kic``.
 
     Rows are solved one at a time, and each kernel row is computed on its
     own: a batched solve or a matrix product rounds a column differently
@@ -317,10 +322,7 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     batch nor on the CPU count.
     """
     Q = as_matrix(Q, "Q")
-    if Q.shape[1] != model.p:
-        raise ValueError(
-            f"dimension mismatch: model expects {model.p} features, got {Q.shape[1]}"
-        )
+    _check_features(model, Q.shape[1])
     m = Q.shape[0]
     values = np.empty(m)
     gammas = np.empty(m)
@@ -342,7 +344,7 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
             ]
             for future in futures:
                 future.result()
-    return _clamp_objective(values, gammas)
+    return np.fromiter(map(_clamp_objective, values.tolist(), gammas.tolist()), float, count=m)
 
 
 def _score_rows(
@@ -355,10 +357,22 @@ def _score_rows(
     release_gil: bool,
 ) -> None:
     """Write the unclamped value and the self-kernel of rows start..stop-1 of Q."""
-    scale = math.sqrt(model.n)
     for i in range(start, stop):
-        g, gammas[i] = _kernel_row(model.kernel, model._basis, Q[i])
-        values[i] = _objective(model.factorization, g / scale, gammas[i], release_gil)
+        values[i], gammas[i] = _score_row(model, Q[i], release_gil)
+
+
+def _score_row(model: ChristoffelModel, x: np.ndarray, release_gil: bool) -> tuple[float, float]:
+    """The unclamped value gamma - ||L^{-1} g||^2 and the self-kernel gamma of
+    one checked query row: a kernel row, scaled by 1/sqrt(n) in place, and
+    one triangular solve."""
+    g, gamma = _kernel_row(model.kernel, model._basis, x)
+    g /= math.sqrt(model.n)
+    return _objective(model.factorization, g, gamma, release_gil), gamma
+
+
+def _check_features(model: ChristoffelModel, p: int) -> None:
+    if p != model.p:
+        raise ValueError(f"dimension mismatch: model expects {model.p} features, got {p}")
 
 
 def _cpu_count() -> int:
@@ -370,9 +384,15 @@ def _cpu_count() -> int:
 
 
 def kic_score(model: ChristoffelModel, x) -> float:
-    """Kernelized score at one query point: ``kic_scores`` on a single row."""
+    """Kernelized score at one query point.
+
+    x is checked once and scored by the per-row routine of ``kic_scores`` on
+    the calling thread, then clamped by the same rule, so the result matches
+    the row's entry of ``kic_scores`` bit for bit, whatever the batch.
+    """
     x = as_vector(x, "x")
-    return float(kic_scores(model, x[None, :])[0])
+    _check_features(model, x.shape[0])
+    return _clamp_objective(*_score_row(model, x, False))
 
 
 def kic_scores_all(X, kernel: KernelSpec, rho: float) -> np.ndarray:

@@ -35,6 +35,7 @@ from .christoffel import (
     DEFAULT_FEATURE_DIM_LIMIT,
     FeatureDimensionError,
     MomentMatrixError,
+    RhoRangeError,
     _grid_axis,
     _kic2_stage_two,
     default_sigma,
@@ -93,6 +94,7 @@ _NUMERIC_ERRORS = (
     FeatureDimensionError,
     MomentMatrixError,
     NotPositiveDefiniteError,
+    RhoRangeError,
     np.linalg.LinAlgError,
 )
 

@@ -117,11 +117,20 @@ def _sq_distances(A: np.ndarray, a_sq: np.ndarray, B: np.ndarray, b_sq: np.ndarr
     return np.maximum(D, 0.0, out=D)
 
 
-def _transform(spec: KernelSpec, P):
-    """Kernel values from inner products (polynomial) or squared distances (RBF)."""
+def _transform(spec: KernelSpec, P: np.ndarray) -> np.ndarray:
+    """Kernel values from inner products (polynomial) or squared distances (RBF).
+
+    Works in place on P, which must be a fresh float array the caller gives up.
+    """
     if spec.family == POLYNOMIAL:
-        return _int_power(1.0 + P, spec.degree)
-    return np.exp(-P / (2.0 * spec.lengthscale**2))
+        P += 1.0
+        if spec.degree == 2:
+            P *= P
+            return P
+        return _int_power(P, spec.degree)
+    np.negative(P, out=P)
+    P /= 2.0 * spec.lengthscale**2
+    return np.exp(P, out=P)
 
 
 def _row_basis(spec: KernelSpec, X: np.ndarray) -> tuple:
@@ -138,13 +147,16 @@ def _row_basis(spec: KernelSpec, X: np.ndarray) -> tuple:
 
 
 def _kernel_row(spec: KernelSpec, basis: tuple, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """``cross_vector`` on a ``_row_basis`` and a checked query: one matrix-vector product."""
+    """``cross_vector`` on a ``_row_basis`` and a checked query: one matrix-vector product.
+
+    The self-kernel is a Python float: (1 + x.x)^d by the same squarings as
+    the row, or exactly 1.0 for RBF, since exp(-0.0) is 1.
+    """
     rows, mean, sq = basis
     if spec.family == POLYNOMIAL:
-        return _transform(spec, _pairwise(rows, x)), float(_transform(spec, _pairwise(x, x)))
+        return _transform(spec, _pairwise(rows, x)), _int_power(1.0 + float(x @ x), spec.degree)
     xc = (x - mean)[None, :]
-    g = _transform(spec, _sq_distances(rows, sq, xc, _sq_norms(xc))[:, 0])
-    return g, float(_transform(spec, 0.0))
+    return _transform(spec, _sq_distances(rows, sq, xc, _sq_norms(xc))[:, 0]), 1.0
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:

@@ -99,9 +99,11 @@ def spd_factor(A) -> SpdFactorization:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite values")
-    norm = frobenius_norm(A)
-    if frobenius_norm(A - A.T) > 1e-8 * max(norm, 1e-300):
-        raise ValueError("matrix is not symmetric")
+    # Exact symmetry, as every Gram and moment matrix here has, needs no norms.
+    if not np.array_equal(A, A.T):
+        norm = frobenius_norm(A)
+        if frobenius_norm(A - A.T) > 1e-8 * max(norm, 1e-300):
+            raise ValueError("matrix is not symmetric")
     try:
         return SpdFactorization(lower=np.linalg.cholesky(A))
     except np.linalg.LinAlgError as exc:
@@ -132,22 +134,18 @@ def spd_solve(factorization: SpdFactorization, b) -> np.ndarray:
     return solve_triangular(factorization.lower, y, lower=True, trans="T", check_finite=False)
 
 
-def _clamp_objective(values, gammas):
-    """Objective values with every negative one set to 0, elementwise over matching shapes.
+def _clamp_objective(value: float, gamma: float) -> float:
+    """The objective value, or 0 if it is negative.
 
-    A value below -_CLAMP_WARN_TOL * |gamma| is more than rounding, and
-    each such value warns.
+    A value below -_CLAMP_WARN_TOL * |gamma| is more than rounding, and it warns.
     """
-    values = np.asarray(values, dtype=float)
-    gammas = np.asarray(gammas, dtype=float)
-    warned = values < -_CLAMP_WARN_TOL * np.abs(gammas)
-    for value, gamma in zip(values[warned], gammas[warned]):
+    if value < -_CLAMP_WARN_TOL * abs(gamma):
         warnings.warn(
             f"ridge objective {value:.3e} clamped to 0 (gamma={gamma:.3e})",
             RuntimeWarning,
             stacklevel=3,
         )
-    return np.where(values < 0.0, 0.0, values)
+    return 0.0 if value < 0.0 else value
 
 
 def ridge_objective(G, g, gamma: float, rho: float, theta) -> float:
@@ -192,12 +190,16 @@ def _objective(
     costs as much as the solve. With ``release_gil`` the same routine is
     called through ``_dtrsv_nogil``, so threads scoring other rows run
     meanwhile; the result has the same bits.
+
+    A non-finite entry of g makes ||z||^2 non-finite, so g is scanned only
+    when that one number is.
     """
-    if not np.isfinite(g).all():
-        raise ValueError("rhs contains non-finite values")
     trsv = _dtrsv_nogil if release_gil else dtrsv
     z = trsv(factorization.lower.T, g, trans=1)
-    return gamma - float(z @ z)
+    zz = float(z @ z)
+    if not math.isfinite(zz) and not np.isfinite(g).all():
+        raise ValueError("rhs contains non-finite values")
+    return gamma - zz
 
 
 def _cython_blas_function(name: str, prototype):

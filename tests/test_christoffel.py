@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import warnings
@@ -302,6 +303,70 @@ def test_kic_score_dimension_mismatch():
         kic_score(model, np.array([1.0]))
 
 
+@pytest.mark.parametrize("x, message", [
+    (np.array([1.0]), "dimension mismatch: model expects 2 features, got 1"),
+    (np.array([[1.0, 2.0]]), "x must be 1-dimensional, got shape (1, 2)"),
+    (np.array([1.0, np.nan]), "x contains non-finite values"),
+], ids=["wrong-length", "2-d", "nan"])
+def test_kic_score_rejects_a_bad_query(x, message):
+    model = fit_kic([[0.0, 1.0], [1.0, 0.0]], KernelSpec.polynomial(1), 1.0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kic_score(model, x)
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec.polynomial(2), KernelSpec.polynomial(3)])
+def test_kic_score_rejects_an_overflowing_kernel_row(kernel):
+    model = fit_kic(np.random.default_rng(7).normal(size=(20, 2)), kernel, 0.05)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="rhs contains non-finite values"):
+        kic_score(model, np.full(2, 1e200))
+
+
+def test_kic_score_makes_one_solve_on_the_calling_thread(monkeypatch):
+    # One query on a model large enough to split a batch: x is checked once,
+    # as a vector, and scored by one trsv with the GIL held, with no pool.
+    model, Q = _split_case(KernelSpec.rbf(1.5), 0.05)
+    calls = []
+    real = linalg.dtrsv
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("unexpected call")
+
+    monkeypatch.setattr(linalg, "dtrsv", counted)
+    monkeypatch.setattr(linalg, "_dtrsv_nogil", refused)
+    monkeypatch.setattr(christoffel, "ThreadPoolExecutor", refused)
+    monkeypatch.setattr(christoffel, "as_matrix", refused)
+    assert kic_score(model, Q[0]) > 0.0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("excess, warns", [(0.5, False), (2.0, True)], ids=["silent", "warned"])
+def test_clamped_rows_score_zero_and_warn_only_past_the_tolerance(monkeypatch, excess, warns):
+    # Force each unclamped value to -excess * _CLAMP_WARN_TOL * gamma: both
+    # entry points clamp it to 0.0, and warn once per row only past the tolerance.
+    rng = np.random.default_rng(29)
+    model = fit_kic(rng.normal(size=(20, 2)), KernelSpec.polynomial(2), 0.05)
+    Q = rng.normal(size=(3, 2))
+
+    def negative(factorization, g, gamma, release_gil):
+        return -excess * linalg._CLAMP_WARN_TOL * gamma
+
+    monkeypatch.setattr(christoffel, "_objective", negative)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        single = kic_score(model, Q[0])
+        batch = kic_scores(model, Q)
+    assert type(single) is float and single == 0.0
+    assert batch.tolist() == [0.0, 0.0, 0.0]
+    assert len(caught) == (4 if warns else 0)
+    for record in caught:
+        assert record.category is RuntimeWarning
+        assert re.match(r"ridge objective -\S+ clamped to 0 \(gamma=", str(record.message))
+
+
 def test_kic_score_monotone_in_rho():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(10, 2))
@@ -374,8 +439,8 @@ def test_kic2_stage_two_on_given_stage_one_scores(kernel):
                           kic2_scores(X, kernel, 500.0, 0.6))
 
 
-@pytest.mark.parametrize("rho, solves_per_row", [(0.05, 1)])
-def test_kic_scores_make_one_triangular_solve_per_row(monkeypatch, rho, solves_per_row):
+@pytest.mark.parametrize("rho", [0.05])
+def test_kic_scores_make_one_triangular_solve_per_row(monkeypatch, rho):
     # A row costs one forward substitution, which runs on the stored factor
     # itself, never on a per-row copy.
     rng = np.random.default_rng(22)
@@ -391,7 +456,7 @@ def test_kic_scores_make_one_triangular_solve_per_row(monkeypatch, rho, solves_p
     monkeypatch.setattr(linalg, "dtrsv", counted)
     Q = rng.normal(size=(7, 2)) * 2.0
     scores = kic_scores(model, Q)
-    assert len(calls) == solves_per_row * Q.shape[0]
+    assert len(calls) == Q.shape[0]
     for matrix, *_ in calls:
         assert matrix.flags.f_contiguous
         assert np.shares_memory(matrix, model.factorization.lower)
@@ -423,23 +488,22 @@ def _record_split(monkeypatch, workers=2):
     return threads
 
 
-def _split_case(kernel, rho, repeated):
+def _split_case(kernel, rho):
     rng = np.random.default_rng(41)
-    if repeated:
-        X = np.repeat(rng.normal(size=(christoffel._SPLIT_MIN_N // 2, 2)) * 2.0, 2, axis=0)
-    else:
-        X = rng.normal(size=(christoffel._SPLIT_MIN_N, 3))
+    X = rng.normal(size=(christoffel._SPLIT_MIN_N, 3))
     return fit_kic(X, kernel, rho), rng.normal(size=(256, X.shape[1])) * 2.0
 
 
-@pytest.mark.parametrize("kernel, rho, repeated", [
-    (KernelSpec.polynomial(2), 0.05, False),
-    (KernelSpec.rbf(1.5), 0.05, False),
+@pytest.mark.parametrize("kernel, rho", [
+    (KernelSpec.polynomial(2), 0.05),
+    (KernelSpec.rbf(1.5), 0.05),
+    # Degree 3 takes the generic power by squaring, not the in-place square.
+    (KernelSpec.polynomial(3), 0.05),
 ])
-def test_split_batch_matches_per_point_scores(monkeypatch, kernel, rho, repeated):
-    # Each chunk's rows go through the same per-row loop on their own thread,
-    # so every score keeps the bits of a one-row call.
-    model, Q = _split_case(kernel, rho, repeated)
+def test_split_batch_matches_per_point_scores(monkeypatch, kernel, rho):
+    # Each chunk's rows go through the same per-row routine as kic_score on
+    # their own thread, so every score keeps the bits of a one-row call.
+    model, Q = _split_case(kernel, rho)
     threads = _record_split(monkeypatch)
     scores = kic_scores(model, Q)
     assert len(threads) == len(Q)
@@ -453,7 +517,7 @@ def test_split_batch_matches_per_point_scores(monkeypatch, kernel, rho, repeated
 def test_split_batch_over_more_threads_than_cores(monkeypatch):
     # Seven uneven chunks with frequent thread switches: every row is written
     # once, by its own chunk, with the serial loop's bits.
-    model, Q = _split_case(KernelSpec.rbf(1.5), 0.05, False)
+    model, Q = _split_case(KernelSpec.rbf(1.5), 0.05)
     expected = np.array([kic_score(model, q) for q in Q])
     threads = _record_split(monkeypatch, workers=7)
     interval = sys.getswitchinterval()
@@ -467,7 +531,7 @@ def test_split_batch_over_more_threads_than_cores(monkeypatch):
 
 
 def test_small_batches_and_small_fits_stay_on_the_calling_thread(monkeypatch):
-    model, Q = _split_case(KernelSpec.polynomial(2), 0.05, False)
+    model, Q = _split_case(KernelSpec.polynomial(2), 0.05)
     small = fit_kic(model.training[:-1], KernelSpec.polynomial(2), 0.05)
     threads = _record_split(monkeypatch)
 
@@ -491,7 +555,7 @@ def test_split_batch_keeps_the_callers_errstate(monkeypatch, workers):
     # Row 200 of 256 overflows the polynomial kernel. The caller's
     # np.errstate reaches the thread scoring it, and the row then fails the
     # finiteness check as it does in the serial loop.
-    model, Q = _split_case(KernelSpec.polynomial(2), 0.05, False)
+    model, Q = _split_case(KernelSpec.polynomial(2), 0.05)
     Q[200] = 1e200
     threads = _record_split(monkeypatch, workers)
     with warnings.catch_warnings():
@@ -609,7 +673,8 @@ def test_grid_matches_individual_calls():
 
 
 @pytest.mark.parametrize(
-    "kernel", [KernelSpec.polynomial(2), KernelSpec.rbf(math.sqrt(2.0) / 2.0)]
+    "kernel",
+    [KernelSpec.polynomial(2), KernelSpec.rbf(math.sqrt(2.0) / 2.0), KernelSpec.polynomial(3)],
 )
 def test_every_scoring_path_matches_per_point_at_benchmark_scale(kernel):
     # Batched triangular solves agree with one-column solves at small n and

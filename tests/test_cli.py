@@ -369,6 +369,20 @@ def test_bench_marks_unavailable_methods_with_dash(tmp_path):
     assert np.isnan(aggregates["average"]["IC"])
 
 
+@pytest.mark.parametrize("flags", [["--rho", "1e-300"], ["--C", "1e308"], ["--C", "1e-310"]],
+                         ids=["rho-1e-300", "C-1e308", "C-1e-310"])
+def test_bench_marks_a_fit_at_an_unusable_rho_with_dash(tmp_path, flags):
+    # The rho that makes `score` exit 3 costs bench one cell, not the table.
+    data = _write_blobs(tmp_path, seed=4)
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--method", "KIC,KNN", *flags, "--input", str(data),
+                 "--label-column", "outlier", "--output", str(out)])
+    assert code == EXIT_OK
+    cells, _ = _read_bench(out)
+    assert cells[(str(data), "KIC")] is None
+    assert cells[(str(data), "KNN")] is not None
+
+
 def test_bench_rejects_repeated_input(tmp_path, capsys):
     data = _write_blobs(tmp_path)
     for again in (str(data), str(tmp_path / "." / data.name)):
