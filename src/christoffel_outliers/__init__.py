@@ -3,8 +3,9 @@
 Explicit moment-matrix scoring with the scaled monomial feature map, a
 kernelized regularized variant that works with arbitrary kernels (RBF in
 particular), distance-based baseline detectors, precision-recall
-evaluation, dataset preparation helpers and a synthetic Gaussian benchmark
-generator. The ``cli`` module exposes all of it as a command-line tool.
+evaluation, a comma-separated file reader with 0/1 labels, normalization
+and a synthetic Gaussian benchmark generator. The ``cli`` module exposes
+all of it as a command-line tool.
 """
 
 __version__ = "0.1.0"
@@ -15,9 +16,9 @@ from .christoffel import (
     ChristoffelModel,
     FeatureDimensionError,
     FeatureMap,
+    GramOverflowError,
     MomentMatrixError,
     RhoRangeError,
-    apply_feature_map,
     build_feature_map,
     default_rho,
     default_sigma,
@@ -34,18 +35,12 @@ from .dataio import (
     CsvFormatError,
     DataMatrix,
     SynthGaussianConfig,
-    label_by_class,
     load_csv,
     normalize,
     synth_gaussian,
 )
-from .evaluation import BenchmarkTable, CellStats, PRCurve, auprc, pr_curve, summarize
-from .kernels import (
-    KernelSpec,
-    cross_vector,
-    eval_kernel,
-    gram_matrix,
-)
+from .evaluation import BenchmarkTable, CellStats, PRCurve, pr_curve, summarize
+from .kernels import KernelSpec, cross_vector, gram_matrix
 from .linalg import (
     ConvergenceError,
     NotPositiveDefiniteError,

@@ -69,6 +69,10 @@ class RhoRangeError(ValueError):
     """The effective regularization rho is not positive and finite."""
 
 
+class GramOverflowError(ValueError):
+    """A Gram matrix entry overflows double precision."""
+
+
 @dataclass(frozen=True)
 class FeatureMap:
     """Scaled monomial basis of all exponents alpha with |alpha| <= degree.
@@ -168,12 +172,6 @@ def build_feature_map(
     )
 
 
-def apply_feature_map(fm: FeatureMap, x) -> np.ndarray:
-    """Evaluate the scaled monomial vector v(x): ``feature_matrix`` on one row."""
-    x = as_vector(x, "x")
-    return feature_matrix(fm, x[None, :])[0]
-
-
 def feature_matrix(fm: FeatureMap, X) -> np.ndarray:
     """Stack v(x_i) for every row of X into an (n, s) matrix, in O(n s d) work."""
     X = as_matrix(X)
@@ -201,9 +199,16 @@ def _ic_scores_from_map(fm: FeatureMap, X: np.ndarray, queries: np.ndarray) -> n
             f"moment matrix not positive definite: {distinct} distinct rows, "
             f"fewer than the {fm.dimension} monomials of degree {fm.degree}"
         )
-    phi = feature_matrix(fm, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = feature_matrix(fm, X)
+        M = phi.T @ phi / X.shape[0]
+    if not np.isfinite(M).all():
+        raise MomentMatrixError(
+            f"moment matrix overflows double precision at degree {fm.degree}; "
+            "use a lower degree or normalized data"
+        )
     try:
-        factor = spd_factor(phi.T @ phi / X.shape[0])
+        factor = spd_factor(M)
     except NotPositiveDefiniteError as exc:
         raise MomentMatrixError(
             "moment matrix not positive definite; the data may lie on a "
@@ -223,7 +228,8 @@ def ic_scores(
 
     Raises:
         FeatureDimensionError: if the monomial basis exceeds ``dim_limit``.
-        MomentMatrixError: if M is singular, as with fewer distinct rows than monomials.
+        MomentMatrixError: if M overflows or is singular, as with fewer distinct
+            rows than monomials.
     """
     X = as_matrix(X)
     queries = as_matrix(queries, "queries")
@@ -275,13 +281,20 @@ def fit_kic(
     records the effective value, at which the factor is exact.
 
     Raises:
+        GramOverflowError: if a Gram matrix entry overflows.
         RhoRangeError: if the effective rho is not positive and finite.
         NotPositiveDefiniteError: if rho I + G/n is not positive definite.
     """
     X = as_matrix(X)
     n = X.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = gram_matrix(kernel, X)
+    if not np.isfinite(A).all():
+        at, fix = (f" at degree {kernel.degree}", "a lower degree or ") if kernel.degree else ("", "")
+        raise GramOverflowError(
+            f"{kernel.family} Gram matrix overflows double precision{at}; use {fix}normalized data"
+        )
     # Scale the fresh Gram and add rho to its diagonal in place: no n x n temporaries.
-    A = gram_matrix(kernel, X)
     A /= n
     origin = "given"
     if rho is None:

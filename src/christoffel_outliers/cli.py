@@ -34,6 +34,7 @@ from .baselines import knn_scores, ksp2_scores, ksp_scores
 from .christoffel import (
     DEFAULT_FEATURE_DIM_LIMIT,
     FeatureDimensionError,
+    GramOverflowError,
     MomentMatrixError,
     RhoRangeError,
     _grid_axis,
@@ -92,6 +93,7 @@ _METHOD_FLAGS = {
 
 _NUMERIC_ERRORS = (
     FeatureDimensionError,
+    GramOverflowError,
     MomentMatrixError,
     NotPositiveDefiniteError,
     RhoRangeError,

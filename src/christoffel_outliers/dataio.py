@@ -1,13 +1,13 @@
-"""Dataset ingestion, normalization, class labeling and the synthetic benchmark.
+"""Dataset ingestion, normalization and the synthetic benchmark.
 
-CSV is the only ingestion format: comma-delimited by default, optional
-header (the first non-comment row is a header when one of its cells is not
-a number), '#'-prefixed comment lines skipped, label column selected by
-name or zero-based index. The data rows are parsed by numpy's C reader;
-when it cannot vouch for its table, a row loop reads the file again and
-returns the table or names the first faulty row. Real datasets are the
-user's to supply; this module only prepares them and generates the
-synthetic Gaussian benchmark.
+CSV is the only ingestion format: comma-separated, optional header (the
+first non-comment row is a header when one of its cells is not a number),
+'#'-prefixed comment lines skipped, a 0/1 label column selected by name or
+zero-based index. The data rows are parsed by numpy's C reader; when it
+cannot vouch for its table, a row loop reads the file again and returns
+the table or names the first faulty row. Real datasets, and turning their
+classes into 0/1 labels, are the user's to supply; this module only
+prepares them and generates the synthetic Gaussian benchmark.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,10 +26,6 @@ from ._validate import as_matrix
 # treated as constant and mapped to zero instead of being amplified.
 _CONSTANT_STD_TOL = 1e-13
 
-SMALLEST_CLASS_OUTLIER = "smallest-class-outlier"
-LARGEST_CLASS_INLIER = "largest-class-inlier"
-EXPLICIT_CLASSES = "explicit"
-
 
 class CsvFormatError(ValueError):
     """A CSV file could not be parsed into a rectangular numeric table."""
@@ -38,16 +33,11 @@ class CsvFormatError(ValueError):
 
 @dataclass
 class DataMatrix:
-    """n x p real matrix with optional binary outlier labels.
-
-    ``provenance`` is a human-readable note about where the values came
-    from (file path, generator config, applied transforms).
-    """
+    """n x p real matrix with optional binary outlier labels."""
 
     values: np.ndarray
     labels: np.ndarray | None = None
     feature_names: list[str] | None = None
-    provenance: str = ""
 
     def __post_init__(self):
         self.values = as_matrix(self.values, "values")
@@ -100,11 +90,7 @@ class SynthGaussianConfig:
             raise ValueError("variance_repair must be 'abs' or 'square'")
 
 
-def load_csv(
-    path,
-    label_column: str | int | None = None,
-    delimiter: str = ",",
-) -> DataMatrix:
+def load_csv(path, label_column: str | int | None = None) -> DataMatrix:
     """Load a rectangular numeric CSV, optionally splitting out a label column.
 
     The first non-blank, non-comment row is a header when one of its cells
@@ -118,18 +104,17 @@ def load_csv(
     counting comment, blank and header lines) and, for a bad cell, its column.
     """
     path = Path(path)
-    loaded = _load_fast(path, label_column, delimiter)
-    values, header, label_idx = loaded or _load_rows(path, label_column, delimiter)
+    values, header, label_idx = _load_fast(path, label_column) or _load_rows(path, label_column)
     labels = None
     if label_idx is not None:
         labels = values[:, label_idx].astype(int)
         values = np.delete(values, label_idx, axis=1)
         if header is not None:
             del header[label_idx]
-    return DataMatrix(values=values, labels=labels, feature_names=header, provenance=f"csv:{path}")
+    return DataMatrix(values=values, labels=labels, feature_names=header)
 
 
-def _load_fast(path: Path, label_column, delimiter: str):
+def _load_fast(path: Path, label_column):
     """``(values, header, label_idx)`` from ``np.loadtxt``, or None to fall back.
 
     The first row is read with the ``csv`` module; ``loadtxt`` skips every
@@ -140,7 +125,7 @@ def _load_fast(path: Path, label_column, delimiter: str):
     first row's, a non-finite value or a label other than 0/1.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv.reader(handle)
         skip = 0
         for row in reader:
             if _is_content(row):
@@ -155,7 +140,7 @@ def _load_fast(path: Path, label_column, delimiter: str):
         warnings.simplefilter("error")
         try:
             values = np.loadtxt(
-                path, delimiter=delimiter, comments=None, quotechar='"',
+                path, delimiter=",", comments=None, quotechar='"',
                 skiprows=skip, ndmin=2, encoding="utf-8-sig",
             )
         except (ValueError, UserWarning):
@@ -165,7 +150,7 @@ def _load_fast(path: Path, label_column, delimiter: str):
     return values, header, label_idx
 
 
-def _load_rows(path: Path, label_column, delimiter: str):
+def _load_rows(path: Path, label_column):
     """``(values, header, label_idx)`` from one pass of the ``csv`` module.
 
     Each data row is converted with one numpy call as it is read. This is the
@@ -177,7 +162,7 @@ def _load_rows(path: Path, label_column, delimiter: str):
     rows: list[np.ndarray] = []
     linenos: list[int] = []
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        for lineno, row in enumerate(csv.reader(handle, delimiter=delimiter), start=1):
+        for lineno, row in enumerate(csv.reader(handle), start=1):
             if not _is_content(row):
                 continue
             if width is None:
@@ -191,7 +176,7 @@ def _load_rows(path: Path, label_column, delimiter: str):
                 parsed = None
             if parsed is None:
                 if rows:  # an earlier row's fault comes first in file order
-                    _check_rows(path, delimiter, rows, linenos, label_idx)
+                    _check_rows(path, rows, linenos, label_idx)
                 if len(row) != width:
                     raise CsvFormatError(
                         f"{path}: ragged row {lineno}: expected {width} columns, found {len(row)}"
@@ -203,7 +188,7 @@ def _load_rows(path: Path, label_column, delimiter: str):
         if header is not None:
             raise CsvFormatError(f"{path}: header but no data rows")
         raise CsvFormatError(f"{path}: no data rows found")
-    return _check_rows(path, delimiter, rows, linenos, label_idx), header, label_idx
+    return _check_rows(path, rows, linenos, label_idx), header, label_idx
 
 
 def _is_content(row: list[str]) -> bool:
@@ -231,9 +216,7 @@ def _faulty_rows(values: np.ndarray, label_idx) -> np.ndarray:
     return ~ok
 
 
-def _check_rows(
-    path: Path, delimiter: str, rows: list[np.ndarray], linenos: list[int], label_idx
-) -> np.ndarray:
+def _check_rows(path: Path, rows: list[np.ndarray], linenos: list[int], label_idx) -> np.ndarray:
     """Stack the parsed rows and check every value finite and every label 0/1.
 
     On a failure the file is read again up to the first failing row, whose
@@ -245,7 +228,7 @@ def _check_rows(
         return values
     k = int(np.argmax(faulty))
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        lines = enumerate(csv.reader(handle, delimiter=delimiter), start=1)
+        lines = enumerate(csv.reader(handle), start=1)
         row = next(cells for lineno, cells in lines if lineno == linenos[k])
     if not np.isfinite(values[k]).all():
         raise _bad_cell(path, linenos[k], row)
@@ -311,79 +294,7 @@ def normalize(dm: DataMatrix) -> DataMatrix:
         values=out,
         labels=None if dm.labels is None else dm.labels.copy(),
         feature_names=None if dm.feature_names is None else list(dm.feature_names),
-        provenance=dm.provenance + "|normalized(population-zscore)",
     )
-
-
-def label_by_class(
-    classes,
-    rule: str,
-    inliers=None,
-    outliers=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Turn a categorical class vector into binary outlier labels.
-
-    Rules:
-        "smallest-class-outlier": the unique smallest class is outlying.
-        "largest-class-inlier": everything but the unique largest class is outlying.
-        "explicit": ``inliers`` and ``outliers`` list the classes to keep;
-            rows in neither are masked out.
-
-    Returns (labels, mask); rows with mask False carry no meaningful label.
-    Ties for the smallest/largest class raise, since the choice would be
-    arbitrary; use the explicit rule instead.
-    """
-    classes = list(classes)
-    if len(classes) == 0:
-        raise ValueError("empty class vector")
-    counts = Counter(classes)
-    if len(counts) < 2:
-        raise ValueError("need at least 2 distinct classes")
-
-    if rule == SMALLEST_CLASS_OUTLIER:
-        smallest = min(counts.values())
-        candidates = [c for c, k in counts.items() if k == smallest]
-        if len(candidates) > 1:
-            raise ValueError(
-                f"tie for the smallest class ({candidates}); use the explicit rule"
-            )
-        target = candidates[0]
-        labels = np.array([1 if c == target else 0 for c in classes], dtype=int)
-        return labels, np.ones(len(classes), dtype=bool)
-
-    if rule == LARGEST_CLASS_INLIER:
-        largest = max(counts.values())
-        candidates = [c for c, k in counts.items() if k == largest]
-        if len(candidates) > 1:
-            raise ValueError(
-                f"tie for the largest class ({candidates}); use the explicit rule"
-            )
-        target = candidates[0]
-        labels = np.array([0 if c == target else 1 for c in classes], dtype=int)
-        return labels, np.ones(len(classes), dtype=bool)
-
-    if rule == EXPLICIT_CLASSES:
-        if not inliers or not outliers:
-            raise ValueError("the explicit rule requires non-empty inliers and outliers")
-        inlier_set = set(inliers)
-        outlier_set = set(outliers)
-        overlap = inlier_set & outlier_set
-        if overlap:
-            raise ValueError(f"classes {sorted(overlap)} listed as both inlier and outlier")
-        missing = (inlier_set | outlier_set) - set(counts)
-        if missing:
-            raise ValueError(f"classes {sorted(missing)} not present in the data")
-        labels = np.zeros(len(classes), dtype=int)
-        mask = np.zeros(len(classes), dtype=bool)
-        for i, c in enumerate(classes):
-            if c in inlier_set:
-                mask[i] = True
-            elif c in outlier_set:
-                mask[i] = True
-                labels[i] = 1
-        return labels, mask
-
-    raise ValueError(f"unknown labeling rule: {rule!r}")
 
 
 def synth_gaussian(cfg: SynthGaussianConfig) -> DataMatrix:
@@ -415,8 +326,4 @@ def synth_gaussian(cfg: SynthGaussianConfig) -> DataMatrix:
     labels = np.concatenate(
         [np.zeros(inliers.shape[0], dtype=int), np.ones(cfg.num_outliers, dtype=int)]
     )
-    provenance = (
-        f"synth-gaussian(clusters={k},per_cluster={m},outliers={cfg.num_outliers},"
-        f"p={p},seed={cfg.seed},variance_repair={cfg.variance_repair},prng=numpy-PCG64)"
-    )
-    return DataMatrix(values=values, labels=labels, provenance=provenance)
+    return DataMatrix(values=values, labels=labels)

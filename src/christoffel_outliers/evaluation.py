@@ -24,13 +24,11 @@ import numpy as np
 class PRCurve:
     """PR points in descending-threshold order plus the area under them.
 
-    ``recalls`` is nondecreasing and ends at 1; ``thresholds`` holds the
-    distinct score values that generated each point.
+    ``recalls`` is nondecreasing and ends at 1.
     """
 
     recalls: np.ndarray
     precisions: np.ndarray
-    thresholds: np.ndarray
     auprc: float
 
     @property
@@ -99,21 +97,10 @@ def pr_curve(scores, labels) -> PRCurve:
     predicted = (block_ends + 1).astype(float)
     precisions = tp / predicted
     recalls = tp / positives
-    thresholds = sorted_scores[block_ends]
-    area = _area(recalls, precisions)
-    return PRCurve(recalls=recalls, precisions=precisions, thresholds=thresholds, auprc=area)
-
-
-def _area(recalls: np.ndarray, precisions: np.ndarray) -> float:
     # Right Riemann sum over recall, anchored at recall 0 with no synthetic
     # precision-1 point.
-    padded = np.concatenate(([0.0], recalls))
-    return float(np.sum(np.diff(padded) * precisions))
-
-
-def auprc(curve: PRCurve) -> float:
-    """Area under the PR curve, recomputed from its points."""
-    return _area(curve.recalls, curve.precisions)
+    area = float(np.sum(np.diff(recalls, prepend=0.0) * precisions))
+    return PRCurve(recalls=recalls, precisions=precisions, auprc=area)
 
 
 def summarize(

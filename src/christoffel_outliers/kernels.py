@@ -91,13 +91,10 @@ def _int_power(base, exponent: int):
 
 
 def _mirror_upper(A: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle onto the lower one for exact symmetry."""
-    return np.triu(A) + np.triu(A, 1).T
-
-
-def _pairwise(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Inner products between the rows of A and the rows of B (or the vector B)."""
-    return A @ B.T
+    """Copy the upper triangle of A onto the lower one in place, for exact symmetry."""
+    for i in range(A.shape[0] - 1):
+        A[i + 1 :, i] = A[i, i + 1 :]
+    return A
 
 
 def _sq_norms(A: np.ndarray) -> np.ndarray:
@@ -111,7 +108,7 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
 
 def _sq_distances(A: np.ndarray, a_sq: np.ndarray, B: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
     """Squared distances ||a||^2 + ||b||^2 - 2 a.b between the rows of A and B, clamped at 0."""
-    D = _pairwise(A, B)
+    D = A @ B.T
     D *= -2.0
     D += np.add.outer(a_sq, b_sq)
     return np.maximum(D, 0.0, out=D)
@@ -154,22 +151,9 @@ def _kernel_row(spec: KernelSpec, basis: tuple, x: np.ndarray) -> tuple[np.ndarr
     """
     rows, mean, sq = basis
     if spec.family == POLYNOMIAL:
-        return _transform(spec, _pairwise(rows, x)), _int_power(1.0 + float(x @ x), spec.degree)
+        return _transform(spec, rows @ x), _int_power(1.0 + float(x @ x), spec.degree)
     xc = (x - mean)[None, :]
     return _transform(spec, _sq_distances(rows, sq, xc, _sq_norms(xc))[:, 0]), 1.0
-
-
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Evaluate the kernel on a single pair of points: ``cross_vector`` on one row.
-
-    The sum runs over the terms x_i y_i (polynomial) or, as the one training
-    row x is its own mean, (y_i - x_i)^2 (RBF). Swapping x and y leaves each
-    term unchanged, so the result is floating-point symmetric in (x, y), not
-    just symmetric up to rounding.
-    """
-    x = as_vector(x, "x")
-    g, _ = cross_vector(spec, x[None, :], as_vector(y, "y"))
-    return float(g[0])
 
 
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
@@ -181,7 +165,7 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     """
     X = as_matrix(X)
     if spec.family == POLYNOMIAL:
-        return _transform(spec, _mirror_upper(_pairwise(X, X)))
+        return _transform(spec, _mirror_upper(X @ X.T))
     rows, _, sq = _row_basis(spec, X)
     D = _mirror_upper(_sq_distances(rows, sq, rows, sq))
     np.fill_diagonal(D, 0.0)

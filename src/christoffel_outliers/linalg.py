@@ -194,8 +194,8 @@ def _objective(
     A non-finite entry of g makes ||z||^2 non-finite, so g is scanned only
     when that one number is.
     """
-    trsv = _dtrsv_nogil if release_gil else dtrsv
-    z = trsv(factorization.lower.T, g, trans=1)
+    upper = factorization.lower.T
+    z = _dtrsv_nogil(upper, g) if release_gil else dtrsv(upper, g, trans=1)
     zz = float(z @ z)
     if not math.isfinite(zz) and not np.isfinite(g).all():
         raise ValueError("rhs contains non-finite values")
@@ -230,27 +230,21 @@ _DTRSV = _cython_blas_function(
 _ONE = ctypes.c_int(1)
 
 
-def _dtrsv_nogil(a: np.ndarray, x: np.ndarray, trans: int = 0) -> np.ndarray:
-    """``scipy.linalg.blas.dtrsv(a, x, trans=trans)`` without holding the GIL.
+def _dtrsv_nogil(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.blas.dtrsv(a, x, trans=1)`` without holding the GIL.
 
-    Solves op(U) z = x for the upper triangle U of the square F-ordered
-    float matrix a, op transposing when ``trans`` is 1, and returns z as a
-    new array. It calls the BLAS routine that the f2py wrapper calls, with
-    the same arguments, so z has the same bits.
+    Solves U^T z = x for the upper triangle U of the square F-ordered float
+    matrix a and returns z as a new array. It calls the BLAS routine that
+    the f2py wrapper calls, with the same arguments, so z has the same bits.
     """
     n = a.shape[0]
     if a.dtype != np.float64 or a.shape != (n, n) or not a.flags.f_contiguous:
         raise ValueError("a must be a square F-ordered float64 matrix")
-    if trans not in (0, 1):
-        raise ValueError("trans must be 0 or 1")
     z = np.array(x, dtype=np.float64)
     if z.shape != (n,):
         raise ValueError(f"x must have shape ({n},), got {z.shape}")
     size = ctypes.c_int(n)
-    _DTRSV(
-        b"U", b"T" if trans else b"N", b"N",
-        size, a.ctypes.data, size, z.ctypes.data, _ONE,
-    )
+    _DTRSV(b"U", b"T", b"N", size, a.ctypes.data, size, z.ctypes.data, _ONE)
     return z
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from christoffel_outliers import apply_feature_map, build_feature_map, feature_matrix
+from christoffel_outliers import build_feature_map, feature_matrix
 
 
 def explicit_phi(X: np.ndarray, x: np.ndarray, d: int, rho: float) -> float:
@@ -19,7 +19,7 @@ def explicit_phi(X: np.ndarray, x: np.ndarray, d: int, rho: float) -> float:
     n, p = X.shape
     fm = build_feature_map(p, d)
     V = feature_matrix(fm, X).T / math.sqrt(n)
-    v = apply_feature_map(fm, x)
+    v = feature_matrix(fm, [x])[0]
     A = np.eye(V.shape[0]) + (V @ V.T) / rho
     return float(v @ np.linalg.solve(A, v))
 
@@ -49,6 +49,12 @@ def cdist_rbf_scores(X: np.ndarray, queries: np.ndarray, sigma: float, rho: floa
     K = cdist_rbf(X, queries, sigma) / math.sqrt(n)
     S = np.linalg.solve(rho * np.eye(n) + cdist_rbf(X, X, sigma) / n, K)
     return 1.0 - np.einsum("ij,ij->j", K, S)
+
+
+def triu_mirror(A: np.ndarray) -> np.ndarray:
+    """Reference for ``kernels._mirror_upper``: a new array with the upper
+    triangle of A on both sides of the diagonal."""
+    return np.triu(A) + np.triu(A, 1).T
 
 
 def power_feature_matrix(fm, X: np.ndarray) -> np.ndarray:

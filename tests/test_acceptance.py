@@ -16,12 +16,12 @@ from christoffel_outliers import (
     FeatureDimensionError,
     KernelSpec,
     SynthGaussianConfig,
-    apply_feature_map,
     build_feature_map,
     cg_ridge_solve,
+    cross_vector,
     default_rho,
     default_sigma,
-    eval_kernel,
+    feature_matrix,
     fit_kic,
     gram_matrix,
     ic_scores,
@@ -163,8 +163,8 @@ def test_criterion_4_kernel_identity():
         x = rng.normal(size=p)
         y = rng.normal(size=p)
         fm = maps.setdefault((p, d), build_feature_map(p, d))
-        direct = eval_kernel(KernelSpec.polynomial(d), x, y)
-        mapped = float(apply_feature_map(fm, x) @ apply_feature_map(fm, y))
+        direct = cross_vector(KernelSpec.polynomial(d), [x], y)[0][0]
+        mapped = float(feature_matrix(fm, [x])[0] @ feature_matrix(fm, [y])[0])
         err = abs(direct - mapped)
         tol = 1e-10 * max(1.0, abs(mapped))
         worst = max(worst, err / tol)

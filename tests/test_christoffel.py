@@ -9,13 +9,13 @@ import pytest
 
 from christoffel_outliers import (
     FeatureDimensionError,
+    GramOverflowError,
     KernelSpec,
     MomentMatrixError,
-    apply_feature_map,
     build_feature_map,
+    cross_vector,
     default_rho,
     default_sigma,
-    eval_kernel,
     feature_matrix,
     fit_kic,
     gram_matrix,
@@ -85,7 +85,7 @@ def test_feature_matrix_matches_power_reference():
 
 def test_apply_at_zero():
     fm = build_feature_map(3, 2)
-    v = apply_feature_map(fm, [0.0, 0.0, 0.0])
+    v = feature_matrix(fm, [[0.0, 0.0, 0.0]])[0]
     expected = np.zeros(fm.dimension)
     expected[0] = 1.0
     assert np.array_equal(v, expected)
@@ -93,7 +93,7 @@ def test_apply_at_zero():
 
 def test_apply_p1_d2_hand_case():
     fm = build_feature_map(1, 2)
-    v = apply_feature_map(fm, [2.0])
+    v = feature_matrix(fm, [[2.0]])[0]
     assert np.allclose(v, [1.0, 2.0 * np.sqrt(2.0), 4.0], rtol=1e-15)
 
 
@@ -104,15 +104,15 @@ def test_apply_dot_product_matches_kernel():
     for _ in range(50):
         x = rng.normal(size=3)
         y = rng.normal(size=3)
-        lhs = float(apply_feature_map(fm, x) @ apply_feature_map(fm, y))
-        rhs = eval_kernel(spec, x, y)
+        lhs = float(feature_matrix(fm, [x])[0] @ feature_matrix(fm, [y])[0])
+        rhs = cross_vector(spec, [x], y)[0][0]
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_apply_dimension_mismatch():
     fm = build_feature_map(2, 2)
     with pytest.raises(ValueError, match="mismatch"):
-        apply_feature_map(fm, [1.0])
+        feature_matrix(fm, [[1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +254,13 @@ def test_fit_rbf_scaled_diagonal():
     X = rng.normal(size=(5, 3))
     G_scaled = gram_matrix(KernelSpec.rbf(1.0), X) / 5
     assert np.allclose(np.diag(G_scaled), 0.2, rtol=1e-15)
+
+
+def test_fit_rejects_an_overflowing_rbf_gram():
+    # Squared distances of rows near 1e160 overflow; no numpy warning escapes.
+    X = np.random.default_rng(6).normal(size=(8, 2)) * 1e160
+    with pytest.raises(GramOverflowError, match="^rbf Gram matrix overflows double precision; use"):
+        fit_kic(X, KernelSpec.rbf(1.0), rho=1.0)
 
 
 def test_fit_reconstruction():

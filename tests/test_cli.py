@@ -383,6 +383,38 @@ def test_bench_marks_a_fit_at_an_unusable_rho_with_dash(tmp_path, flags):
     assert cells[(str(data), "KNN")] is not None
 
 
+# Unnormalized N(0, scale^2) rows whose degree-64 Gram or moment matrix
+# overflows: method, (rows, columns, scale), flags and the error message.
+_OVERFLOWS = {
+    "KIC-rho": ("KIC", (60, 3, 100.0), ["--rho", "1"],
+                "polynomial Gram matrix overflows double precision at degree 64"),
+    "KIC-C": ("KIC", (60, 3, 100.0), [],
+              "polynomial Gram matrix overflows double precision at degree 64"),
+    "IC": ("IC", (100, 1, 1000.0), [],
+           "moment matrix overflows double precision at degree 64"),
+}
+
+
+@pytest.mark.parametrize("case", list(_OVERFLOWS))
+def test_overflowing_matrix_costs_bench_one_cell_and_fails_score(tmp_path, capsys, case):
+    method, (n, p, scale), flags, message = _OVERFLOWS[case]
+    rng = np.random.default_rng(0)
+    values = rng.normal(scale=scale, size=(n, p))
+    path = tmp_path / "wide.csv"
+    lines = [",".join(repr(float(v)) for v in row) + f",{int(i < 5)}"
+             for i, row in enumerate(values)]
+    path.write_text("\n".join(lines) + "\n")
+    run = ["--degree", "64", *flags, "--input", str(path), "--label-column", str(p),
+           "--no-normalize", "--output", str(tmp_path / "out.csv")]
+    assert main(["bench", "--method", f"{method},KNN", *run]) == EXIT_OK
+    cells, _ = _read_bench(tmp_path / "out.csv")
+    assert cells[(str(path), method)] is None
+    assert cells[(str(path), "KNN")] is not None
+    assert capsys.readouterr().err == ""
+    assert main(["score", "--method", method, *run]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"numerical error: {message}; use a lower degree or normalized data\n"
+
+
 def test_bench_rejects_repeated_input(tmp_path, capsys):
     data = _write_blobs(tmp_path)
     for again in (str(data), str(tmp_path / "." / data.name)):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from christoffel_outliers import auprc, pr_curve, summarize
+from christoffel_outliers import pr_curve, summarize
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +97,6 @@ def test_random_scores_auprc_near_outlier_fraction():
     scores = rng.normal(size=n)
     value = pr_curve(scores, labels).auprc
     assert abs(value - labels.mean()) <= 0.05
-
-
-def test_auprc_recomputes_from_curve():
-    curve = pr_curve([3.0, 2.0, 1.0], [1, 0, 0])
-    assert auprc(curve) == curve.auprc
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,16 @@ import pytest
 
 from christoffel_outliers import (
     KernelSpec,
-    apply_feature_map,
     build_feature_map,
     cross_vector,
-    eval_kernel,
+    feature_matrix,
     gram_matrix,
 )
+from christoffel_outliers import kernels
 from christoffel_outliers.kernels import MAX_POLY_DEGREE
 
 from helpers import explicit_phi  # noqa: F401  (sibling import path check)
+from helpers import triu_mirror
 
 
 # ---------------------------------------------------------------------------
@@ -52,46 +53,46 @@ def test_mixed_parameters_rejected():
 
 
 # ---------------------------------------------------------------------------
-# eval_kernel
+# cross_vector on one training row: the kernel on a single pair of points
 # ---------------------------------------------------------------------------
 
 
 def test_poly_eval_at_origin():
     spec = KernelSpec.polynomial(2)
-    assert eval_kernel(spec, [0.0], [0.0]) == 1.0
+    assert cross_vector(spec, [[0.0]], [0.0])[0][0] == 1.0
 
 
 def test_rbf_eval_same_point_is_one():
     for sigma in (0.1, 1.0, 17.0):
         spec = KernelSpec.rbf(sigma)
         x = np.array([1.0, -2.0, 0.5])
-        assert eval_kernel(spec, x, x) == 1.0
+        assert cross_vector(spec, [x], x)[0][0] == 1.0
 
 
 def test_poly_eval_hand_case():
     # (1 + (3 - 2))^2 = 4
     spec = KernelSpec.polynomial(2)
-    value = eval_kernel(spec, [1.0, 2.0], [3.0, -1.0])
+    value = cross_vector(spec, [[1.0, 2.0]], [3.0, -1.0])[0][0]
     assert value == pytest.approx(4.0, rel=1e-14)
     # cross-check against the explicit feature-map dot product
     fm = build_feature_map(2, 2)
-    vx = apply_feature_map(fm, [1.0, 2.0])
-    vy = apply_feature_map(fm, [3.0, -1.0])
+    vx = feature_matrix(fm, [[1.0, 2.0]])[0]
+    vy = feature_matrix(fm, [[3.0, -1.0]])[0]
     assert value == pytest.approx(float(vx @ vy), rel=1e-12)
 
 
 def test_eval_dimension_mismatch():
     spec = KernelSpec.polynomial(2)
     with pytest.raises(ValueError, match="mismatch"):
-        eval_kernel(spec, [1.0, 2.0], [1.0])
+        cross_vector(spec, [[1.0, 2.0]], [1.0])
 
 
 def test_eval_rejects_non_finite():
     spec = KernelSpec.rbf(1.0)
     with pytest.raises(ValueError):
-        eval_kernel(spec, [np.nan], [0.0])
+        cross_vector(spec, [[np.nan]], [0.0])
     with pytest.raises(ValueError):
-        eval_kernel(spec, [0.0], [np.inf])
+        cross_vector(spec, [[0.0]], [np.inf])
 
 
 def test_eval_symmetry_is_exact():
@@ -102,7 +103,7 @@ def test_eval_symmetry_is_exact():
         x = rng.normal(size=p)
         y = rng.normal(size=p)
         for spec in specs:
-            assert eval_kernel(spec, x, y) == eval_kernel(spec, y, x)
+            assert cross_vector(spec, [x], y)[0][0] == cross_vector(spec, [y], x)[0][0]
 
 
 def test_rbf_bounds():
@@ -111,7 +112,7 @@ def test_rbf_bounds():
     for _ in range(100):
         x = rng.normal(size=3)
         y = rng.normal(size=3)
-        value = eval_kernel(spec, x, y)
+        value = cross_vector(spec, [x], y)[0][0]
         assert 0.0 < value <= 1.0
         if not np.array_equal(x, y):
             assert value < 1.0
@@ -126,8 +127,8 @@ def test_kernel_trick_identity():
         x = rng.normal(size=p)
         y = rng.normal(size=p)
         fm = build_feature_map(p, d)
-        direct = eval_kernel(KernelSpec.polynomial(d), x, y)
-        mapped = float(apply_feature_map(fm, x) @ apply_feature_map(fm, y))
+        direct = cross_vector(KernelSpec.polynomial(d), [x], y)[0][0]
+        mapped = float(feature_matrix(fm, [x])[0] @ feature_matrix(fm, [y])[0])
         assert abs(direct - mapped) <= 1e-10 * max(1.0, abs(mapped))
 
 
@@ -157,6 +158,18 @@ def test_gram_is_exactly_symmetric():
     for spec in (KernelSpec.polynomial(2), KernelSpec.rbf(1.1)):
         G = gram_matrix(spec, X)
         assert np.array_equal(G, G.T)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec.polynomial(2), KernelSpec.polynomial(3),
+                                  KernelSpec.rbf(1.3)], ids=["poly2", "poly3", "rbf"])
+@pytest.mark.parametrize("n, p", [(1, 2), (2, 1), (37, 5), (300, 40)])
+def test_gram_mirrored_in_place_matches_triu_form(monkeypatch, spec, n, p):
+    # The in-place mirror gives the bits of the out-of-place triu form.
+    X = np.random.default_rng(n).normal(size=(n, p))
+    G = gram_matrix(spec, X)
+    monkeypatch.setattr(kernels, "_mirror_upper", triu_mirror)
+    assert G.tobytes() == gram_matrix(spec, X).tobytes()
+    assert np.array_equal(G, G.T)
 
 
 def test_gram_matches_feature_map_oracle():
