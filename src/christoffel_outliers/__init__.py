@@ -10,7 +10,7 @@ all of it as a command-line tool.
 
 __version__ = "0.1.0"
 
-from .baselines import knn_scores, ksp2_scores, ksp_scores, lowest_score_indices
+from .baselines import DistanceOverflowError, knn_scores, ksp2_scores, ksp_scores, lowest_score_indices
 from .christoffel import (
     DEFAULT_FEATURE_DIM_LIMIT,
     ChristoffelModel,

@@ -6,7 +6,8 @@ with replacement; KSP2 adds a filtering pass that re-samples from the
 lowest-scoring fraction of the data.
 
 All randomness goes through numpy's PCG64 generator seeded explicitly, so
-fixed seed plus fixed inputs gives bit-identical scores.
+fixed seed plus fixed inputs gives bit-identical scores. Each detector
+raises ``DistanceOverflowError`` when a score overflows double precision.
 """
 
 from __future__ import annotations
@@ -17,6 +18,21 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from ._validate import as_matrix
+
+
+class DistanceOverflowError(ValueError):
+    """A pairwise distance overflows double precision."""
+
+
+def _finite(scores: np.ndarray) -> np.ndarray:
+    """``scores``, or DistanceOverflowError when one is not finite.
+
+    The check is exact: a distance that overflows is larger than every finite
+    one, so finite scores are those of exact arithmetic.
+    """
+    if not np.isfinite(scores).all():
+        raise DistanceOverflowError("distances overflow double precision; use normalized data")
+    return scores
 
 
 def lowest_score_indices(scores, alpha: float) -> np.ndarray:
@@ -46,11 +62,11 @@ def knn_scores(X, k: int = 5) -> np.ndarray:
         raise ValueError(f"k must satisfy 1 <= k <= n - 1, got k={k} with n={n}")
     dist = cdist(X, X)
     np.fill_diagonal(dist, np.inf)
-    return np.partition(dist, k - 1, axis=1)[:, k - 1]
+    return _finite(np.partition(dist, k - 1, axis=1)[:, k - 1])
 
 
 def _nearest_to(X: np.ndarray, sample: np.ndarray) -> np.ndarray:
-    return cdist(X, sample).min(axis=1)
+    return _finite(cdist(X, sample).min(axis=1))
 
 
 def ksp_scores(X, sample_size: int = 20, seed: int = 0) -> np.ndarray:

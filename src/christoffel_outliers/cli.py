@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import knn_scores, ksp2_scores, ksp_scores
+from .baselines import DistanceOverflowError, knn_scores, ksp2_scores, ksp_scores
 from .christoffel import (
     DEFAULT_FEATURE_DIM_LIMIT,
     FeatureDimensionError,
@@ -92,6 +92,7 @@ _METHOD_FLAGS = {
 }
 
 _NUMERIC_ERRORS = (
+    DistanceOverflowError,
     FeatureDimensionError,
     GramOverflowError,
     MomentMatrixError,
@@ -236,39 +237,31 @@ def _kernel(method: str, params: dict) -> KernelSpec:
         raise ConfigError(str(exc))
 
 
-def _fit(method: str, X: np.ndarray, params: dict):
-    """Fit a KIC or KIC-RBF model and record its effective rho in ``params``."""
-    model = fit_kic(X, _kernel(method, params), params["rho"], params["C"])
-    params["rho"] = model.rho
-    return model
+def _kic_scores(X: np.ndarray, kernel: KernelSpec, rho: float | None, C: float, fits: dict):
+    """The effective rho of the KIC fit on X, and its scores of the rows of X.
 
-
-def _c_rule_scores(X: np.ndarray, kernel: KernelSpec, C: float, fits: dict):
-    """The effective rho of the C-rule fit on X, and its scores of the rows of X.
-
-    ``fits`` keeps both per (kernel, C) for one dataset, so KIC and the first
-    stage of KIC2 fit and score X once between them; a failed fit stores nothing.
+    ``fits`` keeps both per (kernel, rho, C) for one dataset, so KIC and the
+    first stage of KIC2 fit and score X once between them when rho comes
+    from the C rule; a failed fit stores nothing.
     """
-    key = (kernel, C)
+    key = (kernel, rho, C)
     if key not in fits:
-        model = fit_kic(X, kernel, C=C)
+        model = fit_kic(X, kernel, rho, C)
         fits[key] = model.rho, kic_scores(model, X)
     return fits[key]
 
 
 def _run_method(method: str, X: np.ndarray, params: dict, seed: int, fits: dict) -> np.ndarray:
-    """Score the rows of X; ``fits`` is ``_c_rule_scores``'s store for this X."""
+    """Score the rows of X; ``fits`` is ``_kic_scores``'s store for this X."""
     if method == "IC":
         return ic_scores(X, X, params["degree"], dim_limit=params["feature_dim_limit"])
-    if method in ("KIC", "KIC-RBF"):
-        if params["rho"] is not None:
-            return kic_scores(_fit(method, X, params), X)
-        params["rho"], scores = _c_rule_scores(X, _kernel(method, params), params["C"], fits)
-        return scores
-    if method in ("KIC2", "KIC-RBF2"):
+    if method.startswith("KIC"):
         kernel = _kernel(method, params)
-        _, stage1 = _c_rule_scores(X, kernel, params["C"], fits)
-        return _kic2_stage_two(X, kernel, params["C"], params["alpha"], stage1)
+        rho, scores = _kic_scores(X, kernel, params.get("rho"), params["C"], fits)
+        if method.endswith("2"):  # KIC2's first stage: the C-rule fit's scores
+            return _kic2_stage_two(X, kernel, params["C"], params["alpha"], scores)
+        params["rho"] = rho
+        return scores
     if method == "KNN":
         return knn_scores(X, params["k"])
     if method == "KSP":
@@ -453,7 +446,8 @@ def _cmd_contour(args) -> None:
     if dm.p != 2:
         raise ConfigError(f"contour requires 2-feature data, got p={dm.p}")
     params = _method_params(method, dm.p, dm.n, args)
-    model = _fit(method, dm.values, params)
+    model = fit_kic(dm.values, _kernel(method, params), params["rho"], params["C"])
+    params["rho"] = model.rho
     xs, ys, scores = grid_scores(model, x_range, y_range)
 
     grid = ",".join(map(str, x_range + y_range))

@@ -4,10 +4,11 @@ CSV is the only ingestion format: comma-separated, optional header (the
 first non-comment row is a header when one of its cells is not a number),
 '#'-prefixed comment lines skipped, a 0/1 label column selected by name or
 zero-based index. The data rows are parsed by numpy's C reader; when it
-cannot vouch for its table, a row loop reads the file again and returns
-the table or names the first faulty row. Real datasets, and turning their
-classes into 0/1 labels, are the user's to supply; this module only
-prepares them and generates the synthetic Gaussian benchmark.
+cannot vouch for its table, a row loop reads the file again, checks each
+row as it reads it, and returns the table or raises at the first faulty
+row. Real datasets, and turning their classes into 0/1 labels, are the
+user's to supply; this module only prepares them and generates the
+synthetic Gaussian benchmark.
 """
 
 from __future__ import annotations
@@ -97,11 +98,12 @@ def load_csv(path, label_column: str | int | None = None) -> DataMatrix:
     does not parse as a number. The data rows are parsed by numpy's C reader
     (``np.loadtxt``), which reads cells as Python ``float`` does. When that
     reader fails, or its table is empty, of another width than the first row,
-    not finite, or has a label other than 0/1, the file is read again by the
-    row loop (``_load_rows``). The loop returns the table the C reader could
-    not vouch for (a comment line after the data, a spelling such as ``1_0``)
-    or raises the error that names the first offending file row (1-based,
-    counting comment, blank and header lines) and, for a bad cell, its column.
+    not finite, or has a label other than 0/1, the row loop (``_load_rows``)
+    reads the file once more and checks each row as it reads it. The loop
+    returns the table the C reader could not vouch for (a comment line after
+    the data, a spelling such as ``1_0``) or raises at the first faulty file
+    row, naming it (1-based, counting comment, blank and header lines) and,
+    for a bad cell, its column.
     """
     path = Path(path)
     values, header, label_idx = _load_fast(path, label_column) or _load_rows(path, label_column)
@@ -145,7 +147,10 @@ def _load_fast(path: Path, label_column):
             )
         except (ValueError, UserWarning):
             return None
-    if not len(values) or values.shape[1] != len(row) or _faulty_rows(values, label_idx).any():
+    if (
+        not len(values) or values.shape[1] != len(row) or not np.isfinite(values).all()
+        or (label_idx is not None and not np.isin(values[:, label_idx], (0.0, 1.0)).all())
+    ):
         return None
     return values, header, label_idx
 
@@ -153,14 +158,13 @@ def _load_fast(path: Path, label_column):
 def _load_rows(path: Path, label_column):
     """``(values, header, label_idx)`` from one pass of the ``csv`` module.
 
-    Each data row is converted with one numpy call as it is read. This is the
-    path that explains a failure: it raises the error for the first faulty
-    file row.
+    This is the path that explains a failure. Each data row is checked as it
+    is read: its width, its conversion by one numpy call, its finiteness,
+    then its 0/1 label. The first faulty row raises the error that names it.
     """
     header: list[str] | None = None
     width = label_idx = None
     rows: list[np.ndarray] = []
-    linenos: list[int] = []
     with open(path, newline="", encoding="utf-8-sig") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
             if not _is_content(row):
@@ -170,25 +174,26 @@ def _load_rows(path: Path, label_column):
                 header, label_idx = _first_row(path, row, label_column)
                 if header is not None:
                     continue
+            if len(row) != width:
+                raise CsvFormatError(
+                    f"{path}: ragged row {lineno}: expected {width} columns, found {len(row)}"
+                )
             try:
-                parsed = np.array(row, dtype=float) if len(row) == width else None
+                parsed = np.array(row, dtype=float)
             except ValueError:
                 parsed = None
-            if parsed is None:
-                if rows:  # an earlier row's fault comes first in file order
-                    _check_rows(path, rows, linenos, label_idx)
-                if len(row) != width:
-                    raise CsvFormatError(
-                        f"{path}: ragged row {lineno}: expected {width} columns, found {len(row)}"
-                    )
+            if parsed is None or not np.isfinite(parsed).all():
                 raise _bad_cell(path, lineno, row)
+            if label_idx is not None and parsed[label_idx] not in (0.0, 1.0):
+                raise CsvFormatError(
+                    f"{path}: label value {row[label_idx].strip()!r} at row {lineno} is not binary 0/1"
+                )
             rows.append(parsed)
-            linenos.append(lineno)
     if not rows:
         if header is not None:
             raise CsvFormatError(f"{path}: header but no data rows")
         raise CsvFormatError(f"{path}: no data rows found")
-    return _check_rows(path, rows, linenos, label_idx), header, label_idx
+    return np.array(rows), header, label_idx
 
 
 def _is_content(row: list[str]) -> bool:
@@ -206,35 +211,6 @@ def _first_row(path: Path, row: list[str], label_column) -> tuple[list[str] | No
     except ValueError:
         header = [cell.strip() for cell in row]
     return header, _label_index(path, label_column, header, len(row))
-
-
-def _faulty_rows(values: np.ndarray, label_idx) -> np.ndarray:
-    """Mask of the rows holding a non-finite value or a label other than 0/1."""
-    ok = np.isfinite(values).all(axis=1)
-    if label_idx is not None:
-        ok &= np.isin(values[:, label_idx], (0.0, 1.0))
-    return ~ok
-
-
-def _check_rows(path: Path, rows: list[np.ndarray], linenos: list[int], label_idx) -> np.ndarray:
-    """Stack the parsed rows and check every value finite and every label 0/1.
-
-    On a failure the file is read again up to the first failing row, whose
-    cells the error message quotes. Returns the stacked values.
-    """
-    values = np.array(rows)
-    faulty = _faulty_rows(values, label_idx)
-    if not faulty.any():
-        return values
-    k = int(np.argmax(faulty))
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        lines = enumerate(csv.reader(handle), start=1)
-        row = next(cells for lineno, cells in lines if lineno == linenos[k])
-    if not np.isfinite(values[k]).all():
-        raise _bad_cell(path, linenos[k], row)
-    raise CsvFormatError(
-        f"{path}: label value {row[label_idx].strip()!r} at row {linenos[k]} is not binary 0/1"
-    )
 
 
 def _bad_cell(path: Path, lineno: int, row: list[str]) -> CsvFormatError:
@@ -279,12 +255,19 @@ def normalize(dm: DataMatrix) -> DataMatrix:
 
     Constant (and effectively constant) columns are centered and left at
     zero rather than amplified or rejected. Idempotent on non-constant
-    features up to rounding.
+    features up to rounding. A column whose variance overflows is divided
+    by its largest magnitude m first and its std is m times the std of the
+    quotient, so every std that was finite keeps its bits.
     """
     if dm.n < 2:
         raise ValueError("normalization requires at least 2 rows")
     mean = dm.values.mean(axis=0)
-    std = dm.values.std(axis=0)
+    with np.errstate(over="ignore"):
+        std = dm.values.std(axis=0)
+    overflowed = ~np.isfinite(std)
+    if overflowed.any():
+        m = np.abs(dm.values[:, overflowed]).max(axis=0)
+        std[overflowed] = m * (dm.values[:, overflowed] / m).std(axis=0)
     constant = std <= _CONSTANT_STD_TOL * np.maximum(1.0, np.abs(mean))
     out = dm.values - mean
     out[:, constant] = 0.0

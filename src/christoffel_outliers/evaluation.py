@@ -31,10 +31,6 @@ class PRCurve:
     precisions: np.ndarray
     auprc: float
 
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.recalls.tolist(), self.precisions.tolist()))
-
 
 @dataclass(frozen=True)
 class CellStats:
@@ -105,21 +101,18 @@ def pr_curve(scores, labels) -> PRCurve:
 
 def summarize(
     cells: Mapping[tuple[str, str], Sequence[float] | None],
-    datasets: Sequence[str] | None = None,
-    methods: Sequence[str] | None = None,
+    datasets: Sequence[str],
+    methods: Sequence[str],
 ) -> BenchmarkTable:
     """Aggregate per-(dataset, method) trial AUPRCs into a benchmark table.
 
+    Rows and columns come in the order of ``datasets`` and ``methods``.
     Every (dataset, method) pair must be present; pass None to mark a cell
     unavailable. Statistics use the population standard deviation, so a
     single-trial (deterministic) cell reports std 0.
     """
     if not cells:
         raise ValueError("empty benchmark input")
-    if datasets is None:
-        datasets = list(dict.fromkeys(d for d, _ in cells))
-    if methods is None:
-        methods = list(dict.fromkeys(m for _, m in cells))
     datasets = tuple(datasets)
     methods = tuple(methods)
 

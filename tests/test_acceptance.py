@@ -264,13 +264,17 @@ def test_criterion_7_auprc_hand_cases():
     perfect = pr_curve([3.0, 2.0, 1.0], [1, 0, 0])
     worst = pr_curve([1.0, 2.0, 3.0], [1, 0, 0])
     tied = pr_curve([1.0, 1.0], [1, 0])
+
+    def points(curve):
+        return list(zip(curve.recalls, curve.precisions))
+
     ok = (
         perfect.auprc == 1.0
-        and perfect.points == [(1.0, 1.0), (1.0, 0.5), (1.0, 1.0 / 3.0)]
+        and points(perfect) == [(1.0, 1.0), (1.0, 0.5), (1.0, 1.0 / 3.0)]
         and worst.auprc == 1.0 / 3.0
-        and worst.points == [(0.0, 0.0), (0.0, 0.0), (1.0, 1.0 / 3.0)]
+        and points(worst) == [(0.0, 0.0), (0.0, 0.0), (1.0, 1.0 / 3.0)]
         and tied.auprc == 0.5
-        and tied.points == [(1.0, 0.5)]
+        and points(tied) == [(1.0, 0.5)]
     )
     _report(7, "PR hand cases (perfect 1.0, worst 1/3, tie 0.5)", ok)
 

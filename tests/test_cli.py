@@ -415,6 +415,28 @@ def test_overflowing_matrix_costs_bench_one_cell_and_fails_score(tmp_path, capsy
     assert capsys.readouterr().err == f"numerical error: {message}; use a lower degree or normalized data\n"
 
 
+def test_overflowing_distances_cost_bench_their_cells_and_fail_score(tmp_path, capsys):
+    # Squared distances between N(0, 1) x 1e160 rows overflow. Unnormalized,
+    # every distance method (and KIC's Gram) fails; normalized, all of them run.
+    rng = np.random.default_rng(0)
+    path = tmp_path / "huge.csv"
+    lines = [",".join(repr(float(v)) for v in row) + f",{int(i < 5)}"
+             for i, row in enumerate(rng.standard_normal((60, 3)) * 1e160)]
+    path.write_text("\n".join(lines) + "\n")
+    run = ["--input", str(path), "--label-column", "3", "--output", str(tmp_path / "out.csv")]
+    methods = ("KNN", "KSP", "KSP2", "KIC")
+    for flags, failed in (([], False), (["--no-normalize"], True)):
+        assert main(["bench", "--method", ",".join(methods), *flags, *run]) == EXIT_OK
+        cells, _ = _read_bench(tmp_path / "out.csv")
+        assert [cells[(str(path), m)] is None for m in methods] == [failed] * len(methods)
+    assert capsys.readouterr().err == ""
+    for method in methods[:3]:
+        assert main(["score", "--method", method, "--no-normalize", *run]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numerical error: distances overflow double precision; use normalized data\n"
+        )
+
+
 def test_bench_rejects_repeated_input(tmp_path, capsys):
     data = _write_blobs(tmp_path)
     for again in (str(data), str(tmp_path / "." / data.name)):

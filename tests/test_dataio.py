@@ -174,6 +174,27 @@ def test_load_names_first_faulty_row_in_file_order(tmp_path):
             load_csv(path, label_column="y")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("f1,y\n1.0,0\n# note\n2.0,1\n3.0,2\n", "label value '2' at row 5 is not binary"),
+    ("f1,y\n1.0,0\n# note\n2.0,1\nnan,0\n", "value 'nan' at row 5, column 1"),
+])
+def test_row_loop_raises_at_the_faulty_row_without_reading_again(tmp_path, monkeypatch, text, message):
+    # The C reader stops at the '# note' line, so only the row loop sees the
+    # fault. The file is opened once for its first row and once for the loop.
+    path = tmp_path / "late.csv"
+    path.write_text(text)
+    opened = []
+
+    def counted(*args, **kwargs):
+        opened.append(args)
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(dataio, "open", counted, raising=False)
+    with pytest.raises(CsvFormatError, match=message):
+        load_csv(path, label_column="y")
+    assert len(opened) == 2
+
+
 def _outcome(path, **kwargs):
     """What ``load_csv`` gives: the shape, value bits, labels and names, or the error text."""
     try:
@@ -340,6 +361,21 @@ def test_normalize_idempotent():
     once = normalize(dm)
     twice = normalize(once)
     assert np.all(np.abs(twice.values - once.values) <= 1e-10)
+
+
+def test_normalize_scales_a_column_whose_variance_overflows():
+    # Squares of N(0, 1) x 1e160 overflow; the std comes from the column
+    # divided by its largest magnitude, and the other columns keep their bits.
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((60, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = normalize(DataMatrix(values=X * 1e160)).values
+        mixed = normalize(DataMatrix(values=X * [1e160, 1.0, 1.0])).values
+    plain = normalize(DataMatrix(values=X)).values
+    assert np.abs(scaled - plain).max() <= 1e-12
+    assert np.abs(mixed[:, 0] - plain[:, 0]).max() <= 1e-12
+    assert mixed[:, 1:].tobytes() == plain[:, 1:].tobytes()
 
 
 def test_normalize_requires_two_rows():

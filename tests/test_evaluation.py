@@ -11,19 +11,19 @@ from christoffel_outliers import pr_curve, summarize
 
 def test_perfect_ranking_curve():
     curve = pr_curve([3.0, 2.0, 1.0], [1, 0, 0])
-    assert curve.points == [(1.0, 1.0), (1.0, 0.5), (1.0, 1.0 / 3.0)]
+    assert list(zip(curve.recalls, curve.precisions)) == [(1.0, 1.0), (1.0, 0.5), (1.0, 1.0 / 3.0)]
     assert curve.auprc == 1.0
 
 
 def test_worst_ranking_curve():
     curve = pr_curve([1.0, 2.0, 3.0], [1, 0, 0])
-    assert curve.points == [(0.0, 0.0), (0.0, 0.0), (1.0, 1.0 / 3.0)]
+    assert list(zip(curve.recalls, curve.precisions)) == [(0.0, 0.0), (0.0, 0.0), (1.0, 1.0 / 3.0)]
     assert curve.auprc == 1.0 / 3.0
 
 
 def test_tied_scores_collapse_to_one_point():
     curve = pr_curve([1.0, 1.0], [1, 0])
-    assert curve.points == [(1.0, 0.5)]
+    assert list(zip(curve.recalls, curve.precisions)) == [(1.0, 0.5)]
     assert curve.auprc == 0.5
 
 
@@ -105,7 +105,7 @@ def test_random_scores_auprc_near_outlier_fraction():
 
 
 def test_summary_single_dataset():
-    table = summarize({("ds", "A"): [0.9], ("ds", "B"): [0.5]})
+    table = summarize({("ds", "A"): [0.9], ("ds", "B"): [0.5]}, ["ds"], ["A", "B"])
     assert table.avg_rank["A"] == 1.0
     assert table.avg_rank["B"] == 2.0
     assert table.rmsd["A"] == 0.0
@@ -114,13 +114,13 @@ def test_summary_single_dataset():
 
 
 def test_summary_tied_methods_share_rank():
-    table = summarize({("ds", "A"): [0.7], ("ds", "B"): [0.7]})
+    table = summarize({("ds", "A"): [0.7], ("ds", "B"): [0.7]}, ["ds"], ["A", "B"])
     assert table.avg_rank["A"] == 1.5
     assert table.avg_rank["B"] == 1.5
-    table = summarize({("ds", m): [0.4] for m in "ABC"})
+    table = summarize({("ds", m): [0.4] for m in "ABC"}, ["ds"], list("ABC"))
     assert [table.avg_rank[m] for m in "ABC"] == [2.0, 2.0, 2.0]
     means = {"A": 0.9, "B": 0.5, "C": 0.5, "D": 0.5, "E": 0.1}
-    table = summarize({("ds", m): [v] for m, v in means.items()})
+    table = summarize({("ds", m): [v] for m, v in means.items()}, ["ds"], list(means))
     assert [table.avg_rank[m] for m in "ABCDE"] == [1.0, 3.0, 3.0, 3.0, 5.0]
 
 
@@ -130,7 +130,7 @@ def test_summary_three_datasets_hand_numbers():
         ("d2", "A"): [0.4], ("d2", "B"): [0.9],
         ("d3", "A"): [0.5], ("d3", "B"): [0.5],
     }
-    table = summarize(cells)
+    table = summarize(cells, ["d1", "d2", "d3"], ["A", "B"])
     assert table.average["A"] == pytest.approx((0.8 + 0.4 + 0.5) / 3, rel=1e-12)
     assert table.average["B"] == pytest.approx((0.6 + 0.9 + 0.5) / 3, rel=1e-12)
     assert table.avg_rank["A"] == pytest.approx((1 + 2 + 1.5) / 3, rel=1e-12)
@@ -144,7 +144,7 @@ def test_summary_unavailable_cells_excluded():
         ("d1", "A"): [0.8], ("d1", "B"): None,
         ("d2", "A"): [0.4], ("d2", "B"): [0.9],
     }
-    table = summarize(cells)
+    table = summarize(cells, ["d1", "d2"], ["A", "B"])
     assert table.cells[("d1", "B")] is None
     assert table.average["B"] == pytest.approx(0.9)
     # d1 ranks only over the available method
@@ -153,7 +153,7 @@ def test_summary_unavailable_cells_excluded():
 
 
 def test_summary_trials_statistics():
-    table = summarize({("ds", "A"): [0.5, 0.7], ("ds", "B"): [0.6]})
+    table = summarize({("ds", "A"): [0.5, 0.7], ("ds", "B"): [0.6]}, ["ds"], ["A", "B"])
     cell = table.cells[("ds", "A")]
     assert cell.mean == pytest.approx(0.6)
     assert cell.std == pytest.approx(0.1)
@@ -166,7 +166,7 @@ def test_summary_rank_range_invariant():
     cells = {
         (f"d{i}", m): [float(rng.random())] for i in range(5) for m in methods
     }
-    table = summarize(cells)
+    table = summarize(cells, [f"d{i}" for i in range(5)], methods)
     for m in methods:
         assert 1.0 <= table.avg_rank[m] <= len(methods)
         assert table.rmsd[m] >= 0.0
@@ -174,8 +174,8 @@ def test_summary_rank_range_invariant():
 
 def test_summary_rejects_bad_input():
     with pytest.raises(ValueError):
-        summarize({})
+        summarize({}, [], [])
     with pytest.raises(ValueError, match="missing cell"):
-        summarize({("d1", "A"): [0.5], ("d2", "B"): [0.6]})
+        summarize({("d1", "A"): [0.5], ("d2", "B"): [0.6]}, ["d1", "d2"], ["A", "B"])
     with pytest.raises(ValueError, match="no trial values"):
-        summarize({("d1", "A"): []})
+        summarize({("d1", "A"): []}, ["d1"], ["A"])
