@@ -42,13 +42,9 @@ from .dataio import (
 from .evaluation import BenchmarkTable, CellStats, PRCurve, pr_curve, summarize
 from .kernels import KernelSpec, cross_vector, gram_matrix
 from .linalg import (
-    ConvergenceError,
     NotPositiveDefiniteError,
-    RidgeSolution,
     SpdFactorization,
-    cg_ridge_solve,
     frobenius_norm,
-    ridge_objective,
     ridge_objective_from_factor,
     spd_factor,
     spd_solve,

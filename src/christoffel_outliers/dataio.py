@@ -255,21 +255,29 @@ def normalize(dm: DataMatrix) -> DataMatrix:
 
     Constant (and effectively constant) columns are centered and left at
     zero rather than amplified or rejected. Idempotent on non-constant
-    features up to rounding. A column whose variance overflows is divided
-    by its largest magnitude m first and its std is m times the std of the
-    quotient, so every std that was finite keeps its bits.
+    features up to rounding. A column whose sum, centring or variance
+    overflows is divided by its largest magnitude m first: its mean and std
+    are m times those of the quotient, and it is centered and scaled as the
+    quotient. Every column whose mean and std are finite keeps its bits.
     """
     if dm.n < 2:
         raise ValueError("normalization requires at least 2 rows")
-    mean = dm.values.mean(axis=0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = dm.values.mean(axis=0)
         std = dm.values.std(axis=0)
+        out = dm.values - mean
+    constant = std <= _CONSTANT_STD_TOL * np.maximum(1.0, np.abs(mean))
+    # std takes the same mean and centring, so it is not finite when they are not.
     overflowed = ~np.isfinite(std)
     if overflowed.any():
         m = np.abs(dm.values[:, overflowed]).max(axis=0)
-        std[overflowed] = m * (dm.values[:, overflowed] / m).std(axis=0)
-    constant = std <= _CONSTANT_STD_TOL * np.maximum(1.0, np.abs(mean))
-    out = dm.values - mean
+        quotient = dm.values[:, overflowed] / m
+        q_mean = quotient.mean(axis=0)
+        q_std = quotient.std(axis=0)
+        # The test above for std = m q_std and mean = m q_mean, divided by m.
+        constant[overflowed] = q_std <= _CONSTANT_STD_TOL * np.maximum(1.0 / m, np.abs(q_mean))
+        out[:, overflowed] = quotient - q_mean
+        std[overflowed] = q_std
     out[:, constant] = 0.0
     active = ~constant
     out[:, active] /= std[active]

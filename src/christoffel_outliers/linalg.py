@@ -1,14 +1,14 @@
-"""Dense symmetric positive-definite solves and kernel-space ridge regression.
+"""Dense symmetric positive-definite factors and the kernel-space ridge objective.
 
-A matrix is factorized by one plain Cholesky, and one that is not
-positive definite in double precision is an error, never silently
-perturbed. A hand-rolled conjugate-gradient path solves the
-kernel-space normal equations (G + rho I) theta = g, whose optimal value
+A matrix is factorized by one plain Cholesky; one that is not positive
+definite in double precision is an error, never silently perturbed. With
+L L^T = rho I + G for a scaled Gram matrix G, the ridge minimum
 
-    gamma - g.theta  =  min_theta ||V theta - v||^2 + rho ||theta||^2
+    min_theta ||V theta - v||^2 + rho ||theta||^2  =  gamma - ||L^{-1} g||^2
 
 is the regularized distance of a feature vector v from the span of the
-training columns V, expressed purely through the kernel triple (G, g, gamma).
+training columns V, expressed through the kernel triple (G, g, gamma): one
+BLAS triangular solve per vector.
 """
 
 from __future__ import annotations
@@ -30,15 +30,6 @@ class NotPositiveDefiniteError(ValueError):
     """Raised when a matrix cannot be Cholesky-factorized."""
 
 
-class ConvergenceError(RuntimeError):
-    """Conjugate gradient hit its iteration cap before reaching tolerance."""
-
-    def __init__(self, message: str, residual_norm: float, iterations: int):
-        super().__init__(message)
-        self.residual_norm = residual_norm
-        self.iterations = iterations
-
-
 @dataclass(frozen=True)
 class SpdFactorization:
     """Lower Cholesky factor L of A, with L L^T = A."""
@@ -54,20 +45,6 @@ class SpdFactorization:
         """Always 0.0: a factor is of A itself. Kept only because perfbench's
         tracer reads it for its ``linalg.jitter_applied`` count."""
         return 0.0
-
-
-@dataclass(frozen=True)
-class RidgeSolution:
-    """Solution of the kernel-space ridge problem.
-
-    ``objective_value`` is the minimum regularized distance (clamped at 0),
-    ``residual_norm`` the final ||(G + rho I) theta - g||.
-    """
-
-    theta: np.ndarray
-    objective_value: float
-    iterations: int
-    residual_norm: float
 
 
 def frobenius_norm(A) -> float:
@@ -146,22 +123,6 @@ def _clamp_objective(value: float, gamma: float) -> float:
             stacklevel=3,
         )
     return 0.0 if value < 0.0 else value
-
-
-def ridge_objective(G, g, gamma: float, rho: float, theta) -> float:
-    """Regularized distance ||V theta - v||^2 + rho ||theta||^2 in kernel space.
-
-    Evaluates gamma - 2 g.theta + theta.(G theta) + rho theta.theta. At the
-    exact minimizer this equals gamma - g.theta, but this form keeps the
-    error of an approximate theta second order, which matters when the
-    minimum is many orders of magnitude below gamma. Clamped at zero.
-    """
-    G = np.asarray(G, dtype=float)
-    g = np.asarray(g, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    quad = float(theta @ (G @ theta)) + rho * float(theta @ theta)
-    value = gamma - 2.0 * float(g @ theta) + quad
-    return float(_clamp_objective(value, gamma))
 
 
 def ridge_objective_from_factor(factorization: SpdFactorization, g, gamma: float) -> float:
@@ -246,77 +207,3 @@ def _dtrsv_nogil(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     size = ctypes.c_int(n)
     _DTRSV(b"U", b"T", b"N", size, a.ctypes.data, size, z.ctypes.data, _ONE)
     return z
-
-
-def cg_ridge_solve(
-    G,
-    g,
-    gamma: float,
-    rho: float,
-    tol: float = 1e-8,
-    max_iter: int | None = None,
-) -> RidgeSolution:
-    """Solve (G + rho I) theta = g by conjugate gradients.
-
-    Stops when ||(G + rho I) theta - g|| <= tol * ||g||; ``max_iter``
-    defaults to 10 n. The matrix G must be positive semidefinite so that
-    G + rho I is positive definite for rho > 0.
-
-    Raises:
-        ConvergenceError: if the iteration cap is hit; carries the best
-            residual norm seen.
-    """
-    G = np.asarray(G, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise ValueError(f"G must be square, got shape {G.shape}")
-    if g.ndim != 1 or g.shape[0] != G.shape[0]:
-        raise ValueError("g length must match G")
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    n = g.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
-
-    g_norm = math.sqrt(float(g @ g))
-    if g_norm == 0.0:
-        # No data coupling: the minimizer is theta = 0 with value gamma.
-        return RidgeSolution(
-            theta=np.zeros(n),
-            objective_value=float(_clamp_objective(gamma, gamma)),
-            iterations=0,
-            residual_norm=0.0,
-        )
-
-    target = tol * g_norm
-    theta = np.zeros(n)
-    r = g.copy()
-    d = r.copy()
-    rs = float(r @ r)
-    best_residual = math.sqrt(rs)
-    for iteration in range(1, max_iter + 1):
-        Ad = G @ d + rho * d
-        alpha = rs / float(d @ Ad)
-        theta += alpha * d
-        r -= alpha * Ad
-        rs_next = float(r @ r)
-        residual = math.sqrt(rs_next)
-        best_residual = min(best_residual, residual)
-        if residual <= target:
-            objective = ridge_objective(G, g, gamma, rho, theta)
-            return RidgeSolution(
-                theta=theta,
-                objective_value=objective,
-                iterations=iteration,
-                residual_norm=residual,
-            )
-        d = r + (rs_next / rs) * d
-        rs = rs_next
-    raise ConvergenceError(
-        f"conjugate gradient did not reach tolerance {tol:g} within {max_iter} "
-        f"iterations (best residual {best_residual:.3e})",
-        residual_norm=best_residual,
-        iterations=max_iter,
-    )

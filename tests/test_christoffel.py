@@ -611,10 +611,10 @@ def test_kic2_rejects_bad_alpha():
         kic2_scores(np.zeros((3, 1)) + 1.0, KernelSpec.rbf(1.0), 500.0, alpha=0.0)
 
 
-def test_kic_score_matches_cg_objective():
-    # The factored solve and the conjugate-gradient path value the same
-    # regularized distance.
-    from christoffel_outliers import cg_ridge_solve, cross_vector
+def test_kic_score_matches_dense_ridge_solve():
+    # The factored solve values the regularized distance
+    # gamma - g^T (G/n + rho I)^{-1} g that a dense solve gives.
+    from christoffel_outliers import cross_vector
 
     rng = np.random.default_rng(16)
     for _ in range(10):
@@ -624,12 +624,11 @@ def test_kic_score_matches_cg_objective():
         x = rng.normal(size=p)
         kernel = KernelSpec.rbf(1.0) if rng.random() < 0.5 else KernelSpec.polynomial(2)
         rho = float(10.0 ** rng.uniform(-3, 0))
-        model = fit_kic(X, kernel, rho)
-        direct = kic_score(model, x)
-        G_scaled = gram_matrix(kernel, X) / n
+        direct = kic_score(fit_kic(X, kernel, rho), x)
         g, gamma = cross_vector(kernel, X, x)
-        solution = cg_ridge_solve(G_scaled, g / np.sqrt(n), gamma, rho)
-        assert direct == pytest.approx(solution.objective_value, rel=1e-6)
+        g = g / np.sqrt(n)
+        dense = gamma - g @ np.linalg.solve(gram_matrix(kernel, X) / n + rho * np.eye(n), g)
+        assert direct == pytest.approx(dense, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,24 @@ def test_normalize_scales_a_column_whose_variance_overflows():
     assert mixed[:, 1:].tobytes() == plain[:, 1:].tobytes()
 
 
+def test_normalize_scales_a_column_whose_mean_overflows():
+    # The sum of 60 values up to 1.5e308 overflows. The mean and the centred
+    # column come from the column divided by its largest magnitude, so the
+    # column is not taken for a constant one and zeroed; the other columns
+    # keep their bits. A constant column whose sum overflows is still zeroed.
+    rng = np.random.default_rng(0)
+    X = np.clip(rng.standard_normal((60, 3)), -3.0, 3.0)
+    scaled = normalize(DataMatrix(values=X * 5e307)).values
+    mixed = normalize(DataMatrix(values=X * [5e307, 1.0, 1.0])).values
+    constant = normalize(DataMatrix(values=np.column_stack([np.full(60, 1e308), X[:, 0]]))).values
+    plain = normalize(DataMatrix(values=X)).values
+    assert np.abs(scaled - plain).max() <= 1e-12
+    assert np.abs(mixed[:, 0] - plain[:, 0]).max() <= 1e-12
+    assert mixed[:, 1:].tobytes() == plain[:, 1:].tobytes()
+    assert np.array_equal(constant[:, 0], np.zeros(60))
+    assert constant[:, 1].tobytes() == plain[:, 0].tobytes()
+
+
 def test_normalize_requires_two_rows():
     with pytest.raises(ValueError):
         normalize(DataMatrix(values=np.array([[1.0, 2.0]])))

@@ -3,14 +3,11 @@ import pytest
 from scipy.linalg.blas import dtrsv
 
 from christoffel_outliers import (
-    ConvergenceError,
     KernelSpec,
     NotPositiveDefiniteError,
-    cg_ridge_solve,
     fit_kic,
     frobenius_norm,
     gram_matrix,
-    ridge_objective,
     ridge_objective_from_factor,
     spd_factor,
     spd_solve,
@@ -133,81 +130,53 @@ def test_solve_rejects_non_finite_rhs():
 
 
 # ---------------------------------------------------------------------------
-# cg_ridge_solve
+# ridge_objective_from_factor
 # ---------------------------------------------------------------------------
 
 
-def test_cg_zero_rhs_returns_gamma():
-    sol = cg_ridge_solve(np.eye(3), np.zeros(3), gamma=5.0, rho=0.1)
-    assert np.array_equal(sol.theta, np.zeros(3))
-    assert sol.objective_value == 5.0
-    assert sol.iterations == 0
-    assert sol.residual_norm == 0.0
+def _factor_objective(G, g, gamma, rho):
+    return ridge_objective_from_factor(spd_factor(G + rho * np.eye(len(g))), g, gamma)
 
 
-def test_cg_diagonal_hand_case():
-    # (I + I) theta = g with g = (2, 0): theta = (1, 0), objective 4 - 2 = 2.
-    sol = cg_ridge_solve(np.eye(2), np.array([2.0, 0.0]), gamma=4.0, rho=1.0)
-    assert np.allclose(sol.theta, [1.0, 0.0], rtol=1e-12, atol=1e-12)
-    assert sol.objective_value == pytest.approx(2.0, rel=1e-12)
-
-
-def test_cg_matches_cholesky_closed_form():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        n = int(rng.integers(2, 51))
-        G, g, gamma = random_spd_triple(rng, n)
-        rho = float(10.0 ** rng.uniform(-3, 0))
-        sol = cg_ridge_solve(G, g, gamma, rho)
-        closed = gamma - float(g @ spd_solve(spd_factor(G + rho * np.eye(n)), g))
-        assert sol.objective_value == pytest.approx(closed, rel=1e-6)
-        assert sol.residual_norm <= 1e-8 * np.linalg.norm(g)
-
-
-def test_cg_objective_is_the_minimum():
+def test_objective_from_factor_is_the_minimum():
+    # With G = B^T B, g = B^T v and gamma = v.v the factored value is
+    # min_theta ||B theta - v||^2 + rho ||theta||^2: the dense minimizer
+    # attains it, and no other theta gives less.
     rng = np.random.default_rng(4)
-    G, g, gamma = random_spd_triple(rng, 12)
+    B = rng.normal(size=(14, 12))
+    v = rng.normal(size=14)
     rho = 0.05
-    sol = cg_ridge_solve(G, g, gamma, rho)
+    A = B.T @ B + rho * np.eye(12)
+    value = ridge_objective_from_factor(spd_factor(A), B.T @ v, float(v @ v))
+
+    def primal(theta):
+        r = B @ theta - v
+        return float(r @ r + rho * theta @ theta)
+
+    theta = np.linalg.solve(A, B.T @ v)
+    assert primal(theta) == pytest.approx(value, rel=1e-10)
     for _ in range(25):
-        other = sol.theta + rng.normal(size=12) * rng.uniform(0.01, 2.0)
-        value = ridge_objective(G, g, gamma, rho, other)
-        assert value >= sol.objective_value - 1e-8
+        other = theta + rng.normal(size=12) * rng.uniform(0.01, 2.0)
+        assert primal(other) >= value - 1e-8
 
 
 def test_objective_monotone_in_rho_and_limits_to_gamma():
     rng = np.random.default_rng(5)
     G, g, gamma = random_spd_triple(rng, 10)
-    values = [
-        cg_ridge_solve(G, g, gamma, rho).objective_value
-        for rho in (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e2)
-    ]
+    values = [_factor_objective(G, g, gamma, rho) for rho in (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e2)]
     diffs = np.diff(values)
     assert np.all(diffs >= -1e-10 * gamma)
-    huge = cg_ridge_solve(G, g, gamma, 1e12).objective_value
-    assert huge == pytest.approx(gamma, rel=1e-6)
-
-
-def test_cg_raises_on_iteration_cap():
-    rng = np.random.default_rng(6)
-    G, g, gamma = random_spd_triple(rng, 30)
-    with pytest.raises(ConvergenceError) as excinfo:
-        cg_ridge_solve(G, g, gamma, rho=1e-6, tol=1e-14, max_iter=2)
-    assert excinfo.value.residual_norm > 0.0
-    assert excinfo.value.iterations == 2
-
-
-def test_cg_validates_inputs():
-    with pytest.raises(ValueError):
-        cg_ridge_solve(np.eye(2), np.ones(2), 1.0, rho=0.0)
-    with pytest.raises(ValueError):
-        cg_ridge_solve(np.eye(2), np.ones(2), 1.0, rho=1.0, tol=0.0)
-    with pytest.raises(ValueError):
-        cg_ridge_solve(np.eye(2), np.ones(3), 1.0, rho=1.0)
+    assert _factor_objective(G, g, gamma, 1e12) == pytest.approx(gamma, rel=1e-6)
 
 
 def test_objective_from_factor_matches_ridge_objective():
-    # One forward substitution gives the ridge objective at the solved theta.
+    # One forward substitution gives the ridge minimum gamma - g^T (G + rho I)^{-1} g.
+    # Hand cases: with g = 0 the minimizer is theta = 0 and the value gamma;
+    # (I + I) theta = (2, 0) gives theta = (1, 0) and the value 4 - 2 = 2.
+    assert _factor_objective(np.eye(3), np.zeros(3), 5.0, 0.1) == 5.0
+    hand = _factor_objective(np.eye(2), np.array([2.0, 0.0]), 4.0, 1.0)
+    assert hand == pytest.approx(2.0, rel=1e-12)
+    # Random cases against a dense solve.
     rng = np.random.default_rng(20)
     for _ in range(20):
         n = int(rng.integers(2, 51))
@@ -215,7 +184,7 @@ def test_objective_from_factor_matches_ridge_objective():
         rho = float(10.0 ** rng.uniform(-3, 0))
         F = spd_factor(G + rho * np.eye(n))
         assert F.jitter_applied == 0.0
-        reference = ridge_objective(G, g, gamma, rho, spd_solve(F, g))
+        reference = gamma - float(g @ np.linalg.solve(G + rho * np.eye(n), g))
         assert abs(ridge_objective_from_factor(F, g, gamma) - reference) <= 1e-10 * gamma
 
 
@@ -229,10 +198,9 @@ def test_fit_on_singular_kernel_system_fails_naming_rho():
 
 
 def test_objective_clamped_at_zero_with_warning():
-    # gamma slightly below the attainable minimum forces a negative value.
-    with pytest.warns(RuntimeWarning):
-        value = ridge_objective(np.eye(2), np.array([1.0, 0.0]), gamma=-1.0, rho=1.0,
-                                theta=np.array([0.5, 0.0]))
+    # A negative gamma puts the minimum gamma - 1/2 below zero.
+    with pytest.warns(RuntimeWarning, match="clamped to 0"):
+        value = _factor_objective(np.eye(2), np.array([1.0, 0.0]), -1.0, 1.0)
     assert value == 0.0
 
 
