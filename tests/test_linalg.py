@@ -169,14 +169,24 @@ def test_objective_monotone_in_rho_and_limits_to_gamma():
     assert _factor_objective(G, g, gamma, 1e12) == pytest.approx(gamma, rel=1e-6)
 
 
+def test_cg_zero_rhs_returns_gamma():
+    # With g = 0 the ridge minimizer is theta = 0 and the value is gamma.
+    F = spd_factor(np.eye(3) + 0.1 * np.eye(3))
+    assert np.array_equal(spd_solve(F, np.zeros(3)), np.zeros(3))
+    assert ridge_objective_from_factor(F, np.zeros(3), 5.0) == 5.0
+
+
+def test_cg_diagonal_hand_case():
+    # (I + I) theta = g with g = (2, 0): theta = (1, 0), objective 4 - 2 = 2.
+    F = spd_factor(np.eye(2) + 1.0 * np.eye(2))
+    g = np.array([2.0, 0.0])
+    assert np.allclose(spd_solve(F, g), [1.0, 0.0], rtol=1e-12, atol=1e-12)
+    assert ridge_objective_from_factor(F, g, 4.0) == pytest.approx(2.0, rel=1e-12)
+
+
 def test_objective_from_factor_matches_ridge_objective():
-    # One forward substitution gives the ridge minimum gamma - g^T (G + rho I)^{-1} g.
-    # Hand cases: with g = 0 the minimizer is theta = 0 and the value gamma;
-    # (I + I) theta = (2, 0) gives theta = (1, 0) and the value 4 - 2 = 2.
-    assert _factor_objective(np.eye(3), np.zeros(3), 5.0, 0.1) == 5.0
-    hand = _factor_objective(np.eye(2), np.array([2.0, 0.0]), 4.0, 1.0)
-    assert hand == pytest.approx(2.0, rel=1e-12)
-    # Random cases against a dense solve.
+    # One forward substitution gives the ridge minimum gamma - g^T (G + rho I)^{-1} g;
+    # random cases against a dense solve.
     rng = np.random.default_rng(20)
     for _ in range(20):
         n = int(rng.integers(2, 51))
