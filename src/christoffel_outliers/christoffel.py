@@ -45,10 +45,12 @@ from .linalg import (
 )
 
 # A batch is split over threads only from these sizes on. Split time over
-# serial time for 900-1000 rows on 2 cores with 1 BLAS thread: 1.05-1.25 at
-# n=500, 0.98-1.23 at n=600, 0.64-0.97 at n=700, 0.60-0.88 at n=800-900 and
-# 0.62-0.79 at n=1000. Below n=700 the per-row Python work, which holds the
-# GIL, outweighs the solve; below 64 rows, starting the threads does.
+# serial time for 1000 rows, p=20, on 2 cores with 1 BLAS thread (medians of
+# two noisy runs of 9 and 15 pairs, polynomial / RBF): 1.00-1.27 / 1.14-1.45
+# at n=500, 0.72-0.82 / 0.88-1.27 at n=600, 0.65-0.74 / 0.84-1.03 at n=700
+# and 0.57-0.65 / 0.66-0.68 at n=1000. Below n=700 the per-row Python work,
+# which holds the GIL, outweighs the solve; below 64 rows, starting the
+# threads does.
 _SPLIT_MIN_ROWS = 64
 _SPLIT_MIN_N = 700
 
@@ -330,9 +332,9 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     depend on the rows scored with it. A batch of at least
     ``_SPLIT_MIN_ROWS`` rows on a model with at least ``_SPLIT_MIN_N``
     training rows is split into contiguous chunks, one per CPU the process
-    may run on, each scored by the same per-row loop on its own thread with
-    a solve that releases the GIL. A score therefore depends neither on the
-    batch nor on the CPU count.
+    may run on, each scored by the same per-row loop on its own thread. Every
+    row's solve releases the GIL, so the chunks run at the same time. A
+    score therefore depends neither on the batch nor on the CPU count.
     """
     Q = as_matrix(Q, "Q")
     _check_features(model, Q.shape[1])
@@ -343,7 +345,7 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     if m >= _SPLIT_MIN_ROWS and model.n >= _SPLIT_MIN_N:
         workers = min(_cpu_count(), m)
     if workers < 2:
-        _score_rows(model, Q, values, gammas, 0, m, False)
+        _score_rows(model, Q, values, gammas, 0, m)
     else:
         bounds = [m * k // workers for k in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -351,7 +353,7 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
             futures = [
                 pool.submit(
                     contextvars.copy_context().run,
-                    _score_rows, model, Q, values, gammas, start, stop, True,
+                    _score_rows, model, Q, values, gammas, start, stop,
                 )
                 for start, stop in zip(bounds, bounds[1:])
             ]
@@ -367,20 +369,19 @@ def _score_rows(
     gammas: np.ndarray,
     start: int,
     stop: int,
-    release_gil: bool,
 ) -> None:
     """Write the unclamped value and the self-kernel of rows start..stop-1 of Q."""
     for i in range(start, stop):
-        values[i], gammas[i] = _score_row(model, Q[i], release_gil)
+        values[i], gammas[i] = _score_row(model, Q[i])
 
 
-def _score_row(model: ChristoffelModel, x: np.ndarray, release_gil: bool) -> tuple[float, float]:
+def _score_row(model: ChristoffelModel, x: np.ndarray) -> tuple[float, float]:
     """The unclamped value gamma - ||L^{-1} g||^2 and the self-kernel gamma of
     one checked query row: a kernel row, scaled by 1/sqrt(n) in place, and
-    one triangular solve."""
+    one triangular solve in place on it."""
     g, gamma = _kernel_row(model.kernel, model._basis, x)
     g /= math.sqrt(model.n)
-    return _objective(model.factorization, g, gamma, release_gil), gamma
+    return _objective(model.factorization, g, gamma), gamma
 
 
 def _check_features(model: ChristoffelModel, p: int) -> None:
@@ -405,7 +406,7 @@ def kic_score(model: ChristoffelModel, x) -> float:
     """
     x = as_vector(x, "x")
     _check_features(model, x.shape[0])
-    return _clamp_objective(*_score_row(model, x, False))
+    return _clamp_objective(*_score_row(model, x))
 
 
 def kic_scores_all(X, kernel: KernelSpec, rho: float) -> np.ndarray:

@@ -8,7 +8,8 @@ L L^T = rho I + G for a scaled Gram matrix G, the ridge minimum
 
 is the regularized distance of a feature vector v from the span of the
 training columns V, expressed through the kernel triple (G, g, gamma): one
-BLAS triangular solve per vector.
+BLAS triangular solve per vector, a ctypes call that works in place on g
+and releases the GIL, so threads scoring other vectors run meanwhile.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cython_blas, solve_triangular
-from scipy.linalg.blas import dtrsv
 
 # Relative slack below zero beyond which the objective clamp warns.
 _CLAMP_WARN_TOL = 1e-8
@@ -32,9 +32,20 @@ class NotPositiveDefiniteError(ValueError):
 
 @dataclass(frozen=True)
 class SpdFactorization:
-    """Lower Cholesky factor L of A, with L L^T = A."""
+    """Lower Cholesky factor L of A, with L L^T = A.
+
+    ``lower`` is stored nonempty, square, C-ordered, writeable and float64
+    (a Cholesky output is, and is not copied): BLAS reads its transpose, the
+    F-ordered upper factor, through a ctypes view of its buffer.
+    """
 
     lower: np.ndarray
+
+    def __post_init__(self):
+        lower = np.require(self.lower, np.float64, "CAW")
+        if lower.ndim != 2 or lower.shape[0] != lower.shape[1] or lower.size == 0:
+            raise ValueError(f"expected a nonempty square factor, got shape {lower.shape}")
+        object.__setattr__(self, "lower", lower)
 
     @property
     def n(self) -> int:
@@ -69,7 +80,7 @@ def spd_factor(A) -> SpdFactorization:
 
     Raises:
         NotPositiveDefiniteError: if A is not positive definite in double precision.
-        ValueError: if A is not square, not finite or not symmetric.
+        ValueError: if A is empty, not square, not finite or not symmetric.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -129,35 +140,37 @@ def ridge_objective_from_factor(factorization: SpdFactorization, g, gamma: float
     """Optimal regularized distance gamma - g^T (rho I + G)^{-1} g from the factor.
 
     The factorization must be of (rho I + G). With L L^T = rho I + G and
-    z = L^{-1} g the value is gamma - ||z||^2: one forward substitution.
-    Clamped at zero.
+    z = L^{-1} g the value is gamma - ||z||^2: one forward substitution,
+    on a copy of g. Clamped at zero.
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape != (factorization.n,):
-        raise ValueError(
-            f"dimension mismatch: factorization is {factorization.n}, rhs has shape {g.shape}"
-        )
+    g = np.array(g, dtype=np.float64)
     return float(_clamp_objective(_objective(factorization, g, gamma), gamma))
 
 
-def _objective(
-    factorization: SpdFactorization, g: np.ndarray, gamma: float, release_gil: bool = False
-) -> float:
-    """``ridge_objective_from_factor`` before the clamp, for a float vector g of length n.
+def _objective(factorization: SpdFactorization, g: np.ndarray, gamma: float) -> float:
+    """``ridge_objective_from_factor`` before the clamp; g is overwritten by z = L^{-1} g.
 
-    g is checked for finiteness only. BLAS trsv runs directly on L^T, an
-    F-ordered view of the stored factor: no copy, and none of
-    ``solve_triangular``'s argument handling, which at a few hundred rows
-    costs as much as the solve. With ``release_gil`` the same routine is
-    called through ``_dtrsv_nogil``, so threads scoring other rows run
-    meanwhile; the result has the same bits.
+    BLAS trsv solves in place in g, reading L^T, the F-ordered view of the
+    stored factor: no copy, and none of ``solve_triangular``'s argument
+    handling, which at a few hundred rows costs as much as the solve. The
+    factor's layout was settled when it was built, so only g is checked
+    here: a writeable C-ordered float64 vector of length n.
 
-    A non-finite entry of g makes ||z||^2 non-finite, so g is scanned only
-    when that one number is.
+    A non-finite entry of g makes z, and so ||z||^2, non-finite; z is
+    scanned only when that one number is, and a non-finite entry, from g or
+    from a solve that overflows, raises.
     """
-    upper = factorization.lower.T
-    z = _dtrsv_nogil(upper, g) if release_gil else dtrsv(upper, g, trans=1)
-    zz = float(z @ z)
+    n = factorization.n
+    if g.dtype != np.float64 or g.shape != (n,) or not g.flags.carray:
+        raise ValueError(
+            f"rhs must be a writeable C-ordered float64 vector of length {n}, got shape {g.shape}"
+        )
+    size = ctypes.c_int(n)
+    # BLAS reads L^T, F-ordered, where the C-ordered L starts. A ctypes view
+    # of a buffer costs a fraction of ``ndarray.ctypes.data`` and holds it.
+    view = ctypes.c_double.from_buffer
+    _DTRSV(b"U", b"T", b"N", size, view(factorization.lower), size, view(g), _ONE)
+    zz = float(g @ g)
     if not math.isfinite(zz) and not np.isfinite(g).all():
         raise ValueError("rhs contains non-finite values")
     return gamma - zz
@@ -179,31 +192,14 @@ def _cython_blas_function(name: str, prototype):
 
 
 _INT_P = ctypes.POINTER(ctypes.c_int)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 # void dtrsv(char *uplo, char *trans, char *diag, int *n, double *a, int *lda,
 #            double *x, int *incx)
 _DTRSV = _cython_blas_function(
     "dtrsv",
     ctypes.CFUNCTYPE(
         None, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, _INT_P,
-        ctypes.c_void_p, _INT_P, ctypes.c_void_p, _INT_P,
+        _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P,
     ),
 )
 _ONE = ctypes.c_int(1)
-
-
-def _dtrsv_nogil(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.blas.dtrsv(a, x, trans=1)`` without holding the GIL.
-
-    Solves U^T z = x for the upper triangle U of the square F-ordered float
-    matrix a and returns z as a new array. It calls the BLAS routine that
-    the f2py wrapper calls, with the same arguments, so z has the same bits.
-    """
-    n = a.shape[0]
-    if a.dtype != np.float64 or a.shape != (n, n) or not a.flags.f_contiguous:
-        raise ValueError("a must be a square F-ordered float64 matrix")
-    z = np.array(x, dtype=np.float64)
-    if z.shape != (n,):
-        raise ValueError(f"x must have shape ({n},), got {z.shape}")
-    size = ctypes.c_int(n)
-    _DTRSV(b"U", b"T", b"N", size, a.ctypes.data, size, z.ctypes.data, _ONE)
-    return z

@@ -1,4 +1,8 @@
+import copy
+import ctypes
+import gc
 import math
+import pickle
 import re
 import sys
 import threading
@@ -8,10 +12,12 @@ import numpy as np
 import pytest
 
 from christoffel_outliers import (
+    ChristoffelModel,
     FeatureDimensionError,
     GramOverflowError,
     KernelSpec,
     MomentMatrixError,
+    SpdFactorization,
     build_feature_map,
     cross_vector,
     default_rho,
@@ -330,24 +336,17 @@ def test_kic_score_rejects_an_overflowing_kernel_row(kernel):
 
 def test_kic_score_makes_one_solve_on_the_calling_thread(monkeypatch):
     # One query on a model large enough to split a batch: x is checked once,
-    # as a vector, and scored by one trsv with the GIL held, with no pool.
+    # as a vector, and scored by one trsv on the calling thread, with no pool.
     model, Q = _split_case(KernelSpec.rbf(1.5), 0.05)
-    calls = []
-    real = linalg.dtrsv
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    threads = _record_split(monkeypatch)
 
     def refused(*args, **kwargs):
         raise AssertionError("unexpected call")
 
-    monkeypatch.setattr(linalg, "dtrsv", counted)
-    monkeypatch.setattr(linalg, "_dtrsv_nogil", refused)
     monkeypatch.setattr(christoffel, "ThreadPoolExecutor", refused)
     monkeypatch.setattr(christoffel, "as_matrix", refused)
     assert kic_score(model, Q[0]) > 0.0
-    assert len(calls) == 1
+    assert threads == [threading.get_ident()]
 
 
 @pytest.mark.parametrize("excess, warns", [(0.5, False), (2.0, True)], ids=["silent", "warned"])
@@ -358,7 +357,7 @@ def test_clamped_rows_score_zero_and_warn_only_past_the_tolerance(monkeypatch, e
     model = fit_kic(rng.normal(size=(20, 2)), KernelSpec.polynomial(2), 0.05)
     Q = rng.normal(size=(3, 2))
 
-    def negative(factorization, g, gamma, release_gil):
+    def negative(factorization, g, gamma):
         return -excess * linalg._CLAMP_WARN_TOL * gamma
 
     monkeypatch.setattr(christoffel, "_objective", negative)
@@ -449,49 +448,55 @@ def test_kic2_stage_two_on_given_stage_one_scores(kernel):
 @pytest.mark.parametrize("rho", [0.05])
 def test_kic_scores_make_one_triangular_solve_per_row(monkeypatch, rho):
     # A row costs one forward substitution, which runs on the stored factor
-    # itself, never on a per-row copy.
+    # itself, never on a per-row copy: BLAS reads the C-ordered L at its own
+    # address as the F-ordered L^T.
     rng = np.random.default_rng(22)
     X = np.repeat(rng.normal(size=(5, 2)) * 2.0, 2, axis=0)
     model = fit_kic(X, KernelSpec.rbf(1.0), rho)
     calls = []
-    real = linalg.dtrsv
+    real = linalg._DTRSV
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(linalg, "dtrsv", counted)
+    monkeypatch.setattr(linalg, "_DTRSV", counted)
     Q = rng.normal(size=(7, 2)) * 2.0
     scores = kic_scores(model, Q)
     assert len(calls) == Q.shape[0]
-    for matrix, *_ in calls:
-        assert matrix.flags.f_contiguous
-        assert np.shares_memory(matrix, model.factorization.lower)
+    lower = model.factorization.lower
+    assert lower.flags.c_contiguous
+    for uplo, trans, _, n, matrix, lda, *_ in calls:
+        assert (uplo, trans, n.value, lda.value) == (b"U", b"T", model.n, model.n)
+        assert ctypes.addressof(matrix) == lower.ctypes.data
     assert np.all(scores > 0.0)
 
 
 def _record_split(monkeypatch, workers=2):
-    """Give kic_scores ``workers`` CPUs and record the thread of every GIL-free solve.
+    """Give kic_scores ``workers`` CPUs and record the thread of every solve.
 
-    Each thread's first solve waits until ``workers`` threads have arrived, so
-    the chunks must run at the same time, each on a thread of its own.
+    The first solve of each thread but the caller's waits until ``workers``
+    such threads have arrived, so the chunks must run at the same time, each
+    on a thread of its own.
     """
     monkeypatch.setattr(christoffel, "_cpu_count", lambda: workers)
     threads = []
+    caller = threading.get_ident()
     # Per thread, not per ident: a later pool's thread may reuse the ident of
     # an earlier one and must still wait.
     started = threading.local()
     barrier = threading.Barrier(workers, timeout=10)
-    real = linalg._dtrsv_nogil
+    real = linalg._DTRSV
 
-    def recorded(*args, **kwargs):
-        if not getattr(started, "waited", False):
+    def recorded(*args):
+        thread = threading.get_ident()
+        if thread != caller and not getattr(started, "waited", False):
             started.waited = True
             barrier.wait()
-        threads.append(threading.get_ident())
-        return real(*args, **kwargs)
+        threads.append(thread)
+        return real(*args)
 
-    monkeypatch.setattr(linalg, "_dtrsv_nogil", recorded)
+    monkeypatch.setattr(linalg, "_DTRSV", recorded)
     return threads
 
 
@@ -517,7 +522,7 @@ def test_split_batch_matches_per_point_scores(monkeypatch, kernel, rho):
     assert len(set(threads)) == 2 and threading.get_ident() not in threads
     threads.clear()
     expected = np.array([kic_score(model, q) for q in Q])
-    assert threads == []
+    assert threads == [threading.get_ident()] * len(Q)
     assert scores.tobytes() == expected.tobytes()
 
 
@@ -552,9 +557,45 @@ def test_small_batches_and_small_fits_stay_on_the_calling_thread(monkeypatch):
         kic_scores(small, Q[: christoffel._SPLIT_MIN_ROWS])
         m.setattr(christoffel, "_cpu_count", lambda: 1)
         kic_scores(model, Q)
-    assert threads == []
+    assert set(threads) == {threading.get_ident()}
+    threads.clear()
     kic_scores(model, Q[: christoffel._SPLIT_MIN_ROWS])
-    assert len(set(threads)) == 2
+    assert len(set(threads)) == 2 and threading.get_ident() not in threads
+
+
+def test_f_ordered_factor_scores_like_the_c_ordered_one(monkeypatch):
+    # A factor's layout is settled when it is built, so a model given an
+    # F-ordered factor scores a small and a split batch with the bits of the
+    # fitted model, whose Cholesky factor is C-ordered.
+    model, Q = _split_case(KernelSpec.rbf(1.5), 0.05)
+    factor = SpdFactorization(lower=np.asfortranarray(model.factorization.lower))
+    assert factor.lower.flags.c_contiguous
+    other = ChristoffelModel(kernel=model.kernel, rho=model.rho, training=model.training,
+                             factorization=factor)
+    small = Q[: christoffel._SPLIT_MIN_ROWS - 1]
+    assert kic_scores(other, small).tobytes() == kic_scores(model, small).tobytes()
+    threads = _record_split(monkeypatch)
+    assert kic_scores(other, Q).tobytes() == kic_scores(model, Q).tobytes()
+    assert len(set(threads)) == 2 and threading.get_ident() not in threads
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec.polynomial(2), KernelSpec.rbf(1.5)])
+@pytest.mark.parametrize("duplicate", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_model_copies_score_with_the_originals_bits(monkeypatch, kernel, duplicate):
+    # A model holds arrays, no address into them: a pickled or deep-copied
+    # model outlives the original and scores, one row, serially and split,
+    # with the original's bits.
+    model, Q = _split_case(kernel, 0.05)
+    monkeypatch.setattr(christoffel, "_cpu_count", lambda: 2)
+    small = Q[: christoffel._SPLIT_MIN_ROWS - 1]
+    expected = [kic_score(model, Q[0]), kic_scores(model, small).tobytes(),
+                kic_scores(model, Q).tobytes()]
+    clone = duplicate(model)
+    del model
+    gc.collect()
+    assert [kic_score(clone, Q[0]), kic_scores(clone, small).tobytes(),
+            kic_scores(clone, Q).tobytes()] == expected
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -569,7 +610,7 @@ def test_split_batch_keeps_the_callers_errstate(monkeypatch, workers):
         warnings.simplefilter("error")
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="rhs contains non-finite values"):
             kic_scores(model, Q)
-    assert len(set(threads)) == (0 if workers == 1 else workers)
+    assert len(set(threads) - {threading.get_ident()}) == (0 if workers == 1 else workers)
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(ValueError, match="rhs contains non-finite values"):
             kic_scores(model, Q)

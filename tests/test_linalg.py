@@ -184,6 +184,19 @@ def test_cg_diagonal_hand_case():
     assert ridge_objective_from_factor(F, g, 4.0) == pytest.approx(2.0, rel=1e-12)
 
 
+def test_objective_from_factor_leaves_g_unchanged():
+    # The solve runs in place on a copy of g, so the caller's array, even a
+    # strided view, keeps its values.
+    G, g, gamma = random_spd_triple(np.random.default_rng(23), 6)
+    F = spd_factor(G + 0.1 * np.eye(6))
+    before = g.copy()
+    value = ridge_objective_from_factor(F, g, gamma)
+    assert g.tobytes() == before.tobytes()
+    strided = np.repeat(g, 2)[::2]
+    assert ridge_objective_from_factor(F, strided, gamma) == value
+    assert strided.tobytes() == before.tobytes()
+
+
 def test_objective_from_factor_matches_ridge_objective():
     # One forward substitution gives the ridge minimum gamma - g^T (G + rho I)^{-1} g;
     # random cases against a dense solve.
@@ -242,20 +255,40 @@ def test_frobenius_does_not_overflow():
 
 @pytest.mark.parametrize("n", [1, 7, 500])
 def test_gil_free_trsv_matches_scipy_dtrsv(n):
+    # The in-place ctypes solve calls the BLAS routine that scipy's f2py
+    # dtrsv wraps, with the same arguments, so z keeps its bits.
     rng = np.random.default_rng(n)
     B = rng.normal(size=(n, n))
-    upper = np.linalg.cholesky(B @ B.T + n * np.eye(n)).T
+    F = linalg.SpdFactorization(lower=np.linalg.cholesky(B @ B.T + n * np.eye(n)))
     for x in rng.normal(size=(20, n)):
-        expected = dtrsv(upper, x, trans=1)
-        got = linalg._dtrsv_nogil(upper, x)
-        assert got.tobytes() == expected.tobytes()
+        expected = dtrsv(F.lower.T, x, trans=1)
+        z = x.copy()
+        value = linalg._objective(F, z, 1.0)
+        assert z.tobytes() == expected.tobytes()
+        assert value == 1.0 - float(expected @ expected)
 
 
 def test_gil_free_trsv_checks_its_arguments():
-    upper = np.linalg.cholesky(np.eye(3) * 2.0).T
-    with pytest.raises(ValueError, match="F-ordered"):
-        linalg._dtrsv_nogil(np.ascontiguousarray(upper), np.ones(3))
-    with pytest.raises(ValueError, match="F-ordered"):
-        linalg._dtrsv_nogil(np.asfortranarray(upper[:, :2]), np.ones(3))
-    with pytest.raises(ValueError, match="shape"):
-        linalg._dtrsv_nogil(upper, np.ones(4))
+    # A factor is made nonempty, square, C-ordered, writeable and float64
+    # once, when it is built (no copy of a Cholesky output); each solve
+    # checks only g.
+    lower = np.linalg.cholesky(np.eye(3) * 2.0)
+    assert linalg.SpdFactorization(lower=lower).lower is lower
+    read_only = lower.copy()
+    read_only.flags.writeable = False
+    for other in (np.asfortranarray(lower), np.eye(3, dtype=int) * 2, read_only):
+        F = linalg.SpdFactorization(lower=other)
+        assert F.lower.flags.carray and F.lower.dtype == np.float64
+        assert np.array_equal(F.lower, other)
+    for bad in (np.ones(3), np.ones((3, 2)), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="nonempty square factor"):
+            linalg.SpdFactorization(lower=bad)
+    F = linalg.SpdFactorization(lower=lower)
+    read_only = np.ones(3)
+    read_only.flags.writeable = False
+    message = "writeable C-ordered float64 vector of length 3"
+    for g in (np.ones(4), np.ones(3, dtype=np.float32), np.ones(6)[::2], read_only):
+        with pytest.raises(ValueError, match=message):
+            linalg._objective(F, g, 1.0)
+    with pytest.raises(ValueError, match=message + r", got shape \(4,\)"):
+        ridge_objective_from_factor(F, [1.0] * 4, 1.0)
