@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ._validate import as_matrix
 
@@ -60,12 +59,18 @@ def knn_scores(X, k: int = 5) -> np.ndarray:
     n = X.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n - 1, got k={k} with n={n}")
+    # Imported here: scipy.spatial takes a fifth of a second to load, and
+    # only the distance baselines use it.
+    from scipy.spatial.distance import cdist
+
     dist = cdist(X, X)
     np.fill_diagonal(dist, np.inf)
     return _finite(np.partition(dist, k - 1, axis=1)[:, k - 1])
 
 
 def _nearest_to(X: np.ndarray, sample: np.ndarray) -> np.ndarray:
+    from scipy.spatial.distance import cdist
+
     return _finite(cdist(X, sample).min(axis=1))
 
 

@@ -33,26 +33,39 @@ import numpy as np
 
 from ._validate import as_matrix, as_vector
 from .baselines import lowest_score_indices
-from .kernels import KernelSpec, _kernel_row, _row_basis, gram_matrix
+from .kernels import KernelSpec, _kernel_row, _kernel_rows, _row_basis, gram_matrix
 from .linalg import (
     NotPositiveDefiniteError,
     SpdFactorization,
     _clamp_objective,
     _forward,
     _objective,
+    _objectives,
     frobenius_norm,
     spd_factor,
 )
 
-# A batch is split over threads only from these sizes on. Split time over
-# serial time for 1000 rows, p=20, on 2 cores with 1 BLAS thread (medians of
-# two noisy runs of 9 and 15 pairs, polynomial / RBF): 1.00-1.27 / 1.14-1.45
-# at n=500, 0.72-0.82 / 0.88-1.27 at n=600, 0.65-0.74 / 0.84-1.03 at n=700
-# and 0.57-0.65 / 0.66-0.68 at n=1000. Below n=700 the per-row Python work,
-# which holds the GIL, outweighs the solve; below 64 rows, starting the
-# threads does.
-_SPLIT_MIN_ROWS = 64
-_SPLIT_MIN_N = 700
+# A batch of m rows is split over threads only on a fit of at least
+# _SPLIT_MIN_N rows, and only when m n^2, which sets the batch's solve time,
+# reaches _SPLIT_MIN_WORK. Split time over serial time on 2 cores with 1 BLAS
+# thread, p=20, medians of 9 alternating runs on a noisy host (polynomial /
+# RBF): for 1000 rows 0.77-1.10 / 0.84-0.99 at n=300, 0.73-0.91 / 0.75-0.84
+# at n=400, 0.67 / 0.85 at n=500, 0.70 / 0.54 at n=600 and 0.61 / 0.55 at
+# n=1000; at n=400, 1.74 / 1.85 for 32 rows, 1.10 / 1.19 for 64, 0.94 / 1.33
+# for 128 and 0.83 / 1.14 for 256; at n=1000, 0.79 / 0.79 for 32 rows,
+# 0.69 / 0.63 for 64 and 0.65 / 0.58 for 128. Below n=400 the gain is small
+# and unsteady; below about 2^25 / n^2 rows, starting the threads costs
+# about what splitting saves.
+_SPLIT_MIN_N = 400
+_SPLIT_MIN_WORK = 2**25
+
+# Kernel values per block of a batch, about 256 KB: 64 rows at n=512, 32 at
+# n=1000. A block makes one stacked kernel product and one stacked dot
+# product, against a trsv per row. Bounding its values, not its rows, keeps
+# each thread's two or three block-sized temporaries small at any n: with
+# 64-row blocks the `table` benchmark peaked 1.4 MB above the per-row loop,
+# with this bound it peaks level with it, in the same wall time.
+_BLOCK_VALUES = 2**15
 
 # Beyond this feature dimension a dense s x s solve is hopeless on desk
 # hardware; fail fast instead of exhausting memory.
@@ -326,15 +339,19 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     checked here, a kernel row for finiteness only when its solve comes out
     non-finite, and the training rows were checked by ``fit_kic``.
 
-    Rows are solved one at a time, and each kernel row is computed on its
-    own: a batched solve or a matrix product rounds a column differently
+    Each row is solved on its own, and its kernel row and self inner
+    product are each one BLAS matrix-vector or dot product of its own: a
+    batched solve or a matrix-matrix product rounds a column differently
     depending on its position in the block, and a row's score must not
-    depend on the rows scored with it. A batch of at least
-    ``_SPLIT_MIN_ROWS`` rows on a model with at least ``_SPLIT_MIN_N``
-    training rows is split into contiguous chunks, one per CPU the process
-    may run on, each scored by the same per-row loop on its own thread. Every
-    row's solve releases the GIL, so the chunks run at the same time. A
-    score therefore depends neither on the batch nor on the CPU count.
+    depend on the rows scored with it. The rows go in blocks of about
+    ``_BLOCK_VALUES`` kernel values, so the numpy work around the solves runs
+    once per block, not once per row, with one stacked product making the
+    per-row calls. A batch of m rows on a model with n >= ``_SPLIT_MIN_N``
+    training rows and m n^2 >= ``_SPLIT_MIN_WORK`` is split into contiguous
+    chunks, one per CPU the process may run on, each scored by the same block
+    loop on its own thread. The solves and the stacked products release the GIL, so the
+    chunks run at the same time. A score therefore depends neither on the
+    batch nor on the CPU count, and equals ``kic_score`` at its row.
     """
     Q = as_matrix(Q, "Q")
     _check_features(model, Q.shape[1])
@@ -342,7 +359,7 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     values = np.empty(m)
     gammas = np.empty(m)
     workers = 1
-    if m >= _SPLIT_MIN_ROWS and model.n >= _SPLIT_MIN_N:
+    if model.n >= _SPLIT_MIN_N and m * model.n**2 >= _SPLIT_MIN_WORK:
         workers = min(_cpu_count(), m)
     if workers < 2:
         _score_rows(model, Q, values, gammas, 0, m)
@@ -370,18 +387,20 @@ def _score_rows(
     start: int,
     stop: int,
 ) -> None:
-    """Write the unclamped value and the self-kernel of rows start..stop-1 of Q."""
-    for i in range(start, stop):
-        values[i], gammas[i] = _score_row(model, Q[i])
+    """Write the unclamped value and the self-kernel of rows start..stop-1 of Q.
 
-
-def _score_row(model: ChristoffelModel, x: np.ndarray) -> tuple[float, float]:
-    """The unclamped value gamma - ||L^{-1} g||^2 and the self-kernel gamma of
-    one checked query row: a kernel row, scaled by 1/sqrt(n) in place, and
-    one triangular solve in place on it."""
-    g, gamma = _kernel_row(model.kernel, model._basis, x)
-    g /= math.sqrt(model.n)
-    return _objective(model.factorization, g, gamma), gamma
+    The rows go in blocks of at most ``_BLOCK_VALUES`` kernel values (at
+    least one row): one stacked kernel product per block, the elementwise
+    steps once over it, then one trsv per row, so each row keeps the bits of
+    a one-row ``kic_score`` call.
+    """
+    scale = math.sqrt(model.n)
+    step = max(1, _BLOCK_VALUES // model.n)
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        G, gammas[lo:hi] = _kernel_rows(model.kernel, model._basis, Q[lo:hi])
+        G /= scale
+        values[lo:hi] = _objectives(model.factorization, G, gammas[lo:hi])
 
 
 def _check_features(model: ChristoffelModel, p: int) -> None:
@@ -400,13 +419,17 @@ def _cpu_count() -> int:
 def kic_score(model: ChristoffelModel, x) -> float:
     """Kernelized score at one query point.
 
-    x is checked once and scored by the per-row routine of ``kic_scores`` on
-    the calling thread, then clamped by the same rule, so the result matches
-    the row's entry of ``kic_scores`` bit for bit, whatever the batch.
+    x is checked once and scored on the calling thread by the one-row forms
+    of the steps ``kic_scores`` takes per block: a kernel row, scaled by
+    1/sqrt(n) in place, and one triangular solve in place on it. The value
+    is clamped by the same rule, so the result matches the row's entry of
+    ``kic_scores`` bit for bit, whatever the batch.
     """
     x = as_vector(x, "x")
     _check_features(model, x.shape[0])
-    return _clamp_objective(*_score_row(model, x))
+    g, gamma = _kernel_row(model.kernel, model._basis, x)
+    g /= math.sqrt(model.n)
+    return _clamp_objective(_objective(model.factorization, g, gamma), gamma)
 
 
 def kic_scores_all(X, kernel: KernelSpec, rho: float) -> np.ndarray:

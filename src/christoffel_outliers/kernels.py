@@ -106,12 +106,12 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, A)
 
 
-def _sq_distances(A: np.ndarray, a_sq: np.ndarray, B: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
-    """Squared distances ||a||^2 + ||b||^2 - 2 a.b between the rows of A and B, clamped at 0."""
-    D = A @ B.T
-    D *= -2.0
-    D += np.add.outer(a_sq, b_sq)
-    return np.maximum(D, 0.0, out=D)
+def _sq_distances(P: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Squared distances ||a||^2 + ||b||^2 - 2 a.b, clamped at 0, in place on
+    the inner products P, with ``norms`` the matching sums ||a||^2 + ||b||^2."""
+    P *= -2.0
+    P += norms
+    return np.maximum(P, 0.0, out=P)
 
 
 def _transform(spec: KernelSpec, P: np.ndarray) -> np.ndarray:
@@ -152,8 +152,29 @@ def _kernel_row(spec: KernelSpec, basis: tuple, x: np.ndarray) -> tuple[np.ndarr
     rows, mean, sq = basis
     if spec.family == POLYNOMIAL:
         return _transform(spec, rows @ x), _int_power(1.0 + float(x @ x), spec.degree)
-    xc = (x - mean)[None, :]
-    return _transform(spec, _sq_distances(rows, sq, xc, _sq_norms(xc))[:, 0]), 1.0
+    xc = x - mean
+    return _transform(spec, _sq_distances(rows @ xc, sq + _sq_norms(xc[None, :]))), 1.0
+
+
+def _kernel_rows(spec: KernelSpec, basis: tuple, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_kernel_row`` for every row of a checked block Q: an (m, n) array of
+    kernel rows and the m self-kernels.
+
+    One stacked product makes one matrix-vector product per row of Q, the
+    call ``rows @ x`` makes, and the self inner products one dot product
+    each, the call ``x @ x`` makes; every other step is elementwise. So each
+    row keeps the bits of its one-row call, whatever block it is in.
+    """
+    rows, mean, sq = basis
+    if spec.family == POLYNOMIAL:
+        xx = np.matmul(Q[:, None, :], Q[:, :, None]).ravel()
+        P = np.matmul(rows, Q[:, :, None])[:, :, 0]
+        return _transform(spec, P), _int_power(1.0 + xx, spec.degree)
+    # C-ordered whatever the layout of Q, as ``x - mean`` is for one row: the
+    # GEMV and the norm then read each row with unit stride, as there.
+    xc = np.subtract(Q, mean, order="C")
+    D = _sq_distances(np.matmul(rows, xc[:, :, None])[:, :, 0], np.add.outer(_sq_norms(xc), sq))
+    return _transform(spec, D), np.ones(Q.shape[0])
 
 
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
@@ -167,7 +188,7 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     if spec.family == POLYNOMIAL:
         return _transform(spec, _mirror_upper(X @ X.T))
     rows, _, sq = _row_basis(spec, X)
-    D = _mirror_upper(_sq_distances(rows, sq, rows, sq))
+    D = _mirror_upper(_sq_distances(rows @ rows.T, np.add.outer(sq, sq)))
     np.fill_diagonal(D, 0.0)
     return _transform(spec, D)
 

@@ -176,6 +176,34 @@ def _objective(factorization: SpdFactorization, g: np.ndarray, gamma: float) -> 
     return gamma - zz
 
 
+def _objectives(factorization: SpdFactorization, G: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """``_objective`` for every row of G at once; G is overwritten by the z of each row.
+
+    The layout of G, a writeable C-ordered float64 block of rows of length
+    n, is checked once. Each row is solved in place by its own trsv, as
+    ``_objective`` solves it, and the squared norms come from one stacked
+    product that makes one dot product per row, the call ``g @ g`` makes, so
+    every value keeps the bits of its one-row call. A row raises as it does
+    there: when its ||z||^2 and some entry of its z are both non-finite.
+    """
+    n = factorization.n
+    if G.dtype != np.float64 or G.ndim != 2 or G.shape[1] != n or not G.flags.carray:
+        raise ValueError(
+            f"rhs must be a writeable C-ordered float64 block of rows of length {n}, "
+            f"got shape {G.shape}"
+        )
+    size = ctypes.c_int(n)
+    view = ctypes.c_double.from_buffer
+    lower = view(factorization.lower)
+    for offset in range(0, G.nbytes, 8 * n):
+        _DTRSV(b"U", b"T", b"N", size, lower, size, view(G, offset), _ONE)
+    zz = np.matmul(G[:, None, :], G[:, :, None]).ravel()
+    overflowed = ~np.isfinite(zz)
+    if overflowed.any() and not np.isfinite(G[overflowed]).all():
+        raise ValueError("rhs contains non-finite values")
+    return gammas - zz
+
+
 def _cython_blas_function(name: str, prototype):
     """The BLAS routine ``name`` that ``scipy.linalg.cython_blas`` exports, as a ctypes call.
 

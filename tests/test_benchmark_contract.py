@@ -23,8 +23,8 @@ def test_traced_fit_and_scores_meet_the_benchmark_contract(monkeypatch):
 
     rng = np.random.default_rng(0)
     X = rng.normal(size=(60, 2))
-    # n < 700 keeps the scoring on the calling thread: the tracer's
-    # self-time stack is shared by all threads.
+    # A fit of fewer than christoffel._SPLIT_MIN_N rows keeps the scoring on
+    # the calling thread: the tracer's self-time stack is shared by all threads.
     t = tracer.Tracer()
     with t.installed():
         model = christoffel.fit_kic(X, KernelSpec.polynomial(2), C=500.0)

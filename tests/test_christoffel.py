@@ -328,10 +328,26 @@ def test_kic_score_rejects_a_bad_query(x, message):
 
 
 @pytest.mark.parametrize("kernel", [KernelSpec.polynomial(2), KernelSpec.polynomial(3)])
-def test_kic_score_rejects_an_overflowing_kernel_row(kernel):
-    model = fit_kic(np.random.default_rng(7).normal(size=(20, 2)), kernel, 0.05)
+def test_kic_score_rejects_an_overflowing_kernel_row(monkeypatch, kernel):
+    rng = np.random.default_rng(7)
+    model = fit_kic(rng.normal(size=(20, 2)), kernel, 0.05)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="rhs contains non-finite values"):
         kic_score(model, np.full(2, 1e200))
+    # The same row mid-block in a batch of 64-row blocks: row 100 of 129 sits
+    # 36 rows into the second block of the serial loop and of the second of
+    # two chunks.
+    Q = rng.normal(size=(129, 2))
+    Q[100] = 1e200
+    monkeypatch.setattr(christoffel, "_BLOCK_VALUES", 64 * model.n)
+    threads = _record_split(monkeypatch)
+    for split in (False, True):
+        if split:
+            monkeypatch.setattr(christoffel, "_SPLIT_MIN_N", 1)
+            monkeypatch.setattr(christoffel, "_SPLIT_MIN_WORK", 0)
+        threads.clear()
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="rhs contains non-finite values"):
+            kic_scores(model, Q)
+        assert len(set(threads)) == 1 + split and (threading.get_ident() in threads) is not split
 
 
 def test_kic_score_makes_one_solve_on_the_calling_thread(monkeypatch):
@@ -360,7 +376,10 @@ def test_clamped_rows_score_zero_and_warn_only_past_the_tolerance(monkeypatch, e
     def negative(factorization, g, gamma):
         return -excess * linalg._CLAMP_WARN_TOL * gamma
 
+    # kic_score takes the per-row objective and kic_scores the block one;
+    # the stub works on one gamma and on a block's gammas alike.
     monkeypatch.setattr(christoffel, "_objective", negative)
+    monkeypatch.setattr(christoffel, "_objectives", negative)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         single = kic_score(model, Q[0])
@@ -500,26 +519,48 @@ def _record_split(monkeypatch, workers=2):
     return threads
 
 
-def _split_case(kernel, rho):
+def _split_case(kernel, rho, n=None):
     rng = np.random.default_rng(41)
-    X = rng.normal(size=(christoffel._SPLIT_MIN_N, 3))
+    X = rng.normal(size=(n or christoffel._SPLIT_MIN_N, 3))
     return fit_kic(X, kernel, rho), rng.normal(size=(256, X.shape[1])) * 2.0
 
 
-@pytest.mark.parametrize("kernel, rho", [
-    (KernelSpec.polynomial(2), 0.05),
-    (KernelSpec.rbf(1.5), 0.05),
+def _fewest_split_rows(model):
+    """The smallest batch that kic_scores splits on ``model``."""
+    return -(-christoffel._SPLIT_MIN_WORK // model.n**2)
+
+
+@pytest.mark.parametrize("kernel, rho, rows, split, order", [
+    pytest.param(KernelSpec.polynomial(2), 0.05, 256, True, "C", id="kernel0-0.05"),
+    pytest.param(KernelSpec.rbf(1.5), 0.05, 256, True, "C", id="kernel1-0.05"),
     # Degree 3 takes the generic power by squaring, not the in-place square.
-    (KernelSpec.polynomial(3), 0.05),
+    pytest.param(KernelSpec.polynomial(3), 0.05, 256, True, "C", id="kernel2-0.05"),
+    # Batches around a 64-row block, scored serially or in two chunks, and
+    # an F-ordered batch, whose rows are strided views.
+    *[
+        pytest.param(kernel, 0.05, rows, split, order,
+                     id=f"{kernel.family}-{rows}-{'split' if split else 'serial'}-{order}")
+        for kernel in (KernelSpec.polynomial(2), KernelSpec.rbf(1.5))
+        for split in (False, True)
+        for rows, order in [(1, "C"), (63, "C"), (64, "C"), (65, "C"), (129, "C"), (129, "F")]
+    ],
 ])
-def test_split_batch_matches_per_point_scores(monkeypatch, kernel, rho):
-    # Each chunk's rows go through the same per-row routine as kic_score on
-    # their own thread, so every score keeps the bits of a one-row call.
-    model, Q = _split_case(kernel, rho)
+def test_split_batch_matches_per_point_scores(monkeypatch, kernel, rho, rows, split, order):
+    # Each chunk's rows go through the same block loop on their own thread,
+    # and every score keeps the bits of a one-row kic_score call, wherever
+    # the chunk and block boundaries fall.
+    model, Q = _split_case(kernel, rho, None if split else christoffel._SPLIT_MIN_N - 1)
+    Q = np.asarray(Q[:rows], order=order)
+    monkeypatch.setattr(christoffel, "_BLOCK_VALUES", 64 * model.n)
+    if split:
+        monkeypatch.setattr(christoffel, "_SPLIT_MIN_WORK", 0)
     threads = _record_split(monkeypatch)
     scores = kic_scores(model, Q)
     assert len(threads) == len(Q)
-    assert len(set(threads)) == 2 and threading.get_ident() not in threads
+    if split and rows > 1:
+        assert len(set(threads)) == 2 and threading.get_ident() not in threads
+    else:
+        assert threads == [threading.get_ident()] * len(Q)
     threads.clear()
     expected = np.array([kic_score(model, q) for q in Q])
     assert threads == [threading.get_ident()] * len(Q)
@@ -553,13 +594,13 @@ def test_small_batches_and_small_fits_stay_on_the_calling_thread(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(christoffel, "ThreadPoolExecutor", no_pool)
         kic_score(model, Q[0])
-        kic_scores(model, Q[: christoffel._SPLIT_MIN_ROWS - 1])
-        kic_scores(small, Q[: christoffel._SPLIT_MIN_ROWS])
+        kic_scores(model, Q[: _fewest_split_rows(model) - 1])
+        kic_scores(small, Q)
         m.setattr(christoffel, "_cpu_count", lambda: 1)
         kic_scores(model, Q)
     assert set(threads) == {threading.get_ident()}
     threads.clear()
-    kic_scores(model, Q[: christoffel._SPLIT_MIN_ROWS])
+    kic_scores(model, Q[: _fewest_split_rows(model)])
     assert len(set(threads)) == 2 and threading.get_ident() not in threads
 
 
@@ -572,7 +613,7 @@ def test_f_ordered_factor_scores_like_the_c_ordered_one(monkeypatch):
     assert factor.lower.flags.c_contiguous
     other = ChristoffelModel(kernel=model.kernel, rho=model.rho, training=model.training,
                              factorization=factor)
-    small = Q[: christoffel._SPLIT_MIN_ROWS - 1]
+    small = Q[: _fewest_split_rows(model) - 1]
     assert kic_scores(other, small).tobytes() == kic_scores(model, small).tobytes()
     threads = _record_split(monkeypatch)
     assert kic_scores(other, Q).tobytes() == kic_scores(model, Q).tobytes()
@@ -588,7 +629,7 @@ def test_model_copies_score_with_the_originals_bits(monkeypatch, kernel, duplica
     # with the original's bits.
     model, Q = _split_case(kernel, 0.05)
     monkeypatch.setattr(christoffel, "_cpu_count", lambda: 2)
-    small = Q[: christoffel._SPLIT_MIN_ROWS - 1]
+    small = Q[: _fewest_split_rows(model) - 1]
     expected = [kic_score(model, Q[0]), kic_scores(model, small).tobytes(),
                 kic_scores(model, Q).tobytes()]
     clone = duplicate(model)

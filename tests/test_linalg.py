@@ -227,6 +227,49 @@ def test_objective_clamped_at_zero_with_warning():
     assert value == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 7, 500])
+def test_block_objective_matches_the_per_row_one(n):
+    # One trsv per row and one stacked dot product: each row of a block gets
+    # the z and the value of its own _objective call, bit for bit, whatever
+    # the height of the block.
+    rng = np.random.default_rng(n + 1)
+    B = rng.normal(size=(n, n))
+    F = linalg.SpdFactorization(lower=np.linalg.cholesky(B @ B.T + n * np.eye(n)))
+    for m in (1, 3, 64):
+        G = rng.normal(size=(m, n)) * 2.0
+        gammas = rng.uniform(1.0, 2.0, size=m)
+        Z = G.copy()
+        values = linalg._objectives(F, Z, gammas)
+        for g, z, gamma, value in zip(G, Z, gammas, values):
+            g = g.copy()
+            assert linalg._objective(F, g, float(gamma)) == value
+            assert g.tobytes() == z.tobytes()
+
+
+def test_block_objective_checks_its_block_and_raises_like_the_per_row_one():
+    F = linalg.SpdFactorization(lower=np.linalg.cholesky(np.eye(3) * 2.0))
+    read_only = np.ones((2, 3))
+    read_only.flags.writeable = False
+    message = "writeable C-ordered float64 block of rows of length 3"
+    for G in (np.ones(3), np.ones((2, 4)), np.ones((2, 3), dtype=np.float32),
+              np.ones((3, 2)).T, np.ones((2, 6))[:, ::2], read_only):
+        with pytest.raises(ValueError, match=message):
+            linalg._objectives(F, G, np.ones(len(G)))
+    # A non-finite entry in one row raises, as it does for that row alone.
+    G = np.ones((3, 3))
+    G[1, 2] = np.inf
+    with pytest.raises(ValueError, match="rhs contains non-finite values"):
+        linalg._objectives(F, G, np.ones(3))
+    # A ||z||^2 that overflows from a finite z does not: its value is -inf,
+    # for the clamp to handle, as for that row alone.
+    G = np.ones((2, 3))
+    G[1] = 1e200
+    with np.errstate(over="ignore"):
+        values = linalg._objectives(F, G.copy(), np.ones(2))
+        assert values[1] == linalg._objective(F, G[1].copy(), 1.0) == -np.inf
+    assert values[0] == linalg._objective(F, G[0].copy(), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # frobenius_norm
 # ---------------------------------------------------------------------------
