@@ -6,8 +6,9 @@ import numpy as np
 
 
 def as_matrix(X, name: str = "X") -> np.ndarray:
-    """Coerce to a finite float matrix with at least one row and column."""
-    X = np.asarray(X, dtype=float)
+    """Coerce to a finite float matrix with at least one row and column, in C
+    order: BLAS rounds a product over a strided row differently."""
+    X = np.asarray(X, dtype=float, order="C")
     if X.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {X.shape}")
     if X.shape[0] < 1 or X.shape[1] < 1:
@@ -18,8 +19,8 @@ def as_matrix(X, name: str = "X") -> np.ndarray:
 
 
 def as_vector(x, name: str = "x") -> np.ndarray:
-    """Coerce to a finite float vector of length >= 1."""
-    x = np.asarray(x, dtype=float)
+    """Coerce to a finite, contiguous float vector of length >= 1."""
+    x = np.asarray(x, dtype=float, order="C")
     if x.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {x.shape}")
     if x.shape[0] < 1:

@@ -28,6 +28,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -141,17 +142,6 @@ class ChristoffelModel:
         return self.training.shape[1]
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of the given length summing to total,
-    in ascending lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head, *rest)
-
-
 def build_feature_map(
     p: int, d: int, dim_limit: int = DEFAULT_FEATURE_DIM_LIMIT
 ) -> FeatureMap:
@@ -168,23 +158,25 @@ def build_feature_map(
             f"feature dimension too large: binomial({p + d}, {d}) = {s} "
             f"exceeds the limit {dim_limit}"
         )
-    exponents = []
-    coefficients = []
+    exponents = np.zeros((s, p), dtype=np.int64)
+    coefficients = np.empty(s)
     d_fact = math.factorial(d)
+    row = 0
     for total in range(d + 1):
         tail_fact = math.factorial(d - total)
-        for alpha in _compositions(total, p):
+        # A monomial of this degree is a sorted tuple of its coordinates, one
+        # per unit of exponent. Descending tuples give ascending exponent
+        # vectors, so the degrees in turn give graded lexicographic order.
+        for coords in reversed(list(combinations_with_replacement(range(p), total))):
             denom = tail_fact
-            for a in alpha:
+            for c in set(coords):
+                a = coords.count(c)
+                exponents[row, c] = a
                 denom *= math.factorial(a)
-            exponents.append(alpha)
-            coefficients.append(math.sqrt(d_fact / denom))
-    assert len(exponents) == s
-    return FeatureMap(
-        exponents=np.array(exponents, dtype=np.int64),
-        coefficients=np.array(coefficients, dtype=float),
-        degree=d,
-    )
+            coefficients[row] = math.sqrt(d_fact / denom)
+            row += 1
+    assert row == s
+    return FeatureMap(exponents=exponents, coefficients=coefficients, degree=d)
 
 
 def feature_matrix(fm: FeatureMap, X) -> np.ndarray:
@@ -229,7 +221,7 @@ def _ic_scores_from_map(fm: FeatureMap, X: np.ndarray, queries: np.ndarray) -> n
             "moment matrix not positive definite; the data may lie on a "
             f"degree-{fm.degree} variety (need more points or a lower degree)"
         ) from exc
-    Z = _forward(factor, feature_matrix(fm, queries).T)
+    Z = _forward(factor, (phi if queries is X else feature_matrix(fm, queries)).T)
     return np.einsum("sm,sm->m", Z, Z)
 
 
@@ -239,15 +231,17 @@ def ic_scores(
     """Moment-matrix scores q(x) = v(x)^T M^{-1} v(x) for each query row.
 
     M = L L^T is factorized as it is; each score is ||L^{-1} v(x)||^2, from
-    one forward substitution for all queries.
+    one forward substitution for all queries. When ``queries is X`` the rows
+    are mapped to features once, for M and for the substitution.
 
     Raises:
         FeatureDimensionError: if the monomial basis exceeds ``dim_limit``.
         MomentMatrixError: if M overflows or is singular, as with fewer distinct
             rows than monomials.
     """
+    same = queries is X
     X = as_matrix(X)
-    queries = as_matrix(queries, "queries")
+    queries = X if same else as_matrix(queries, "queries")
     if X.shape[1] != queries.shape[1]:
         raise ValueError("X and queries must have the same feature count")
     fm = build_feature_map(X.shape[1], d, dim_limit=dim_limit)

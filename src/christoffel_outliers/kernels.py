@@ -170,9 +170,7 @@ def _kernel_rows(spec: KernelSpec, basis: tuple, Q: np.ndarray) -> tuple[np.ndar
         xx = np.matmul(Q[:, None, :], Q[:, :, None]).ravel()
         P = np.matmul(rows, Q[:, :, None])[:, :, 0]
         return _transform(spec, P), _int_power(1.0 + xx, spec.degree)
-    # C-ordered whatever the layout of Q, as ``x - mean`` is for one row: the
-    # GEMV and the norm then read each row with unit stride, as there.
-    xc = np.subtract(Q, mean, order="C")
+    xc = Q - mean
     D = _sq_distances(np.matmul(rows, xc[:, :, None])[:, :, 0], np.add.outer(_sq_norms(xc), sq))
     return _transform(spec, D), np.ones(Q.shape[0])
 

@@ -1,6 +1,7 @@
 import copy
 import ctypes
 import gc
+import itertools
 import math
 import pickle
 import re
@@ -60,6 +61,40 @@ def test_feature_map_graded_lex_order():
     fm = build_feature_map(2, 2)
     expected = [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0]]
     assert np.array_equal(fm.exponents, expected)
+
+
+def _basis_coefficient(alpha, d):
+    denom = math.factorial(d - sum(alpha))
+    for a in alpha:
+        denom *= math.factorial(a)
+    return math.sqrt(math.factorial(d) / denom)
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize("d", range(1, 5))
+def test_feature_map_matches_an_exhaustive_oracle(p, d):
+    # Every exponent vector in the (d + 1)^p box with |alpha| <= d, sorted by
+    # total degree then lexicographically, with its sqrt multinomial weight.
+    alphas = sorted(
+        (a for a in itertools.product(range(d + 1), repeat=p) if sum(a) <= d),
+        key=lambda a: (sum(a), a),
+    )
+    fm = build_feature_map(p, d)
+    assert np.array_equal(fm.exponents, np.array(alphas, dtype=np.int64))
+    assert fm.exponents.dtype == np.int64
+    expected = np.array([_basis_coefficient(a, d) for a in alphas], dtype=float)
+    assert np.array_equal(fm.coefficients, expected)
+    assert fm.coefficients.dtype == np.float64
+
+
+@pytest.mark.parametrize("p, d", [(20, 2), (50, 2), (8, 4)])
+def test_feature_map_is_the_graded_lex_basis(p, d):
+    E = build_feature_map(p, d).exponents
+    assert E.shape == (math.comb(p + d, d), p)
+    assert E.min() >= 0 and E.sum(axis=1).max() <= d
+    assert len(np.unique(E, axis=0)) == len(E)
+    keys = [(sum(a), a) for a in map(tuple, E.tolist())]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_feature_map_dimension_limit():
@@ -159,6 +194,24 @@ def test_ic_scores_make_one_triangular_solve(monkeypatch):
     scores = ic_scores(rng.normal(size=(30, 2)), rng.normal(size=(9, 2)), 2)
     assert len(calls) == 1
     assert scores.shape == (9,) and np.all(scores > 0.0)
+
+
+def test_ic_scores_map_the_training_rows_once(monkeypatch):
+    calls = []
+    real = christoffel.feature_matrix
+
+    def counted(fm, X):
+        calls.append(X)
+        return real(fm, X)
+
+    monkeypatch.setattr(christoffel, "feature_matrix", counted)
+    X = np.random.default_rng(25).normal(size=(40, 3))
+    same = ic_scores(X, X, 2)
+    assert len(calls) == 1
+    calls.clear()
+    copied = ic_scores(X, X.copy(), 2)
+    assert len(calls) == 2
+    assert same.tobytes() == copied.tobytes()
 
 
 def test_ic_symmetric_two_point_hand_case():
@@ -565,6 +618,18 @@ def test_split_batch_matches_per_point_scores(monkeypatch, kernel, rho, rows, sp
     expected = np.array([kic_score(model, q) for q in Q])
     assert threads == [threading.get_ident()] * len(Q)
     assert scores.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("p", [20, 50])
+def test_polynomial_scores_depend_on_the_row_values_only(p):
+    # The rows of an F-ordered batch are strided; a BLAS product over a
+    # strided row rounds differently from one over the same values in a
+    # fresh array, unless the batch is made C-ordered first.
+    rng = np.random.default_rng(42)
+    model = fit_kic(rng.normal(size=(300, p)), KernelSpec.polynomial(2), 0.05)
+    Q = np.asfortranarray(rng.normal(size=(200, p)))
+    expected = np.array([kic_score(model, np.ascontiguousarray(q)) for q in Q])
+    assert kic_scores(model, Q).tobytes() == expected.tobytes()
 
 
 def test_split_batch_over_more_threads_than_cores(monkeypatch):
