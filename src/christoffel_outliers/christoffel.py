@@ -483,9 +483,8 @@ def grid_scores(
 
 def _grid_axis(rng: tuple[float, float, int], name: str) -> np.ndarray:
     lo, hi, steps = rng
-    steps = int(steps)
-    if steps < 2:
-        raise ValueError(f"{name} must request at least 2 steps")
+    if not (math.isfinite(steps) and steps == int(steps) and steps >= 2):
+        raise ValueError(f"{name} must request a whole number of at least 2 steps, got {steps!r}")
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError(f"{name} must have finite bounds with hi > lo")
-    return np.linspace(float(lo), float(hi), steps)
+    return np.linspace(float(lo), float(hi), int(steps))

@@ -106,15 +106,18 @@ def summarize(
 ) -> BenchmarkTable:
     """Aggregate per-(dataset, method) trial AUPRCs into a benchmark table.
 
-    Rows and columns come in the order of ``datasets`` and ``methods``.
-    Every (dataset, method) pair must be present; pass None to mark a cell
-    unavailable. Statistics use the population standard deviation, so a
-    single-trial (deterministic) cell reports std 0.
+    Rows and columns come in the order of ``datasets`` and ``methods``, with
+    no name repeated. Every (dataset, method) pair must be present; pass None
+    to mark a cell unavailable. Statistics use the population standard
+    deviation, so a single-trial (deterministic) cell reports std 0.
     """
     if not cells:
         raise ValueError("empty benchmark input")
     datasets = tuple(datasets)
     methods = tuple(methods)
+    for kind, names in (("dataset", datasets), ("method", methods)):
+        if len(set(names)) < len(names):
+            raise ValueError(f"repeated {kind} name in {names!r}")
 
     stats: dict[tuple[str, str], CellStats | None] = {}
     for d in datasets:
@@ -130,46 +133,35 @@ def summarize(
             values = np.asarray(list(values), dtype=float)
             if values.size == 0:
                 raise ValueError(f"cell ({d!r}, {m!r}) has no trial values")
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"cell ({d!r}, {m!r}) has non-finite trial values")
             stats[(d, m)] = CellStats(
                 mean=float(values.mean()), std=float(values.std()), trials=int(values.size)
             )
 
-    per_method_means: dict[str, list[float]] = {m: [] for m in methods}
-    per_method_ranks: dict[str, list[float]] = {m: [] for m in methods}
-    per_method_gaps: dict[str, list[float]] = {m: [] for m in methods}
-    for d in datasets:
-        available = [m for m in methods if stats[(d, m)] is not None]
-        if not available:
-            continue
-        means = np.array([stats[(d, m)].mean for m in available])
-        # Average rank, 1 for the largest mean: the means above, plus the
-        # middle of the positions the tied means share.
-        greater = (means[None, :] > means[:, None]).sum(axis=1)
-        ranks = greater + ((means[None, :] == means[:, None]).sum(axis=1) + 1) / 2
-        best = float(means.max())
-        for m, mean, rank in zip(available, means, ranks):
-            per_method_means[m].append(float(mean))
-            per_method_ranks[m].append(float(rank))
-            per_method_gaps[m].append(best - float(mean))
+    # Cell means, datasets x methods, with NaN for an unavailable (None) cell.
+    # NaN compares false, so such a cell neither ranks nor is ranked.
+    M = np.array([[getattr(stats[(d, m)], "mean", np.nan) for m in methods] for d in datasets])
+    M = M.reshape(len(datasets), len(methods))
+    # Average rank, 1 for the largest mean: the means above, plus the middle
+    # of the positions the tied means share.
+    above = (M[:, None, :] > M[:, :, None]).sum(axis=2)
+    ranks = above + ((M[:, None, :] == M[:, :, None]).sum(axis=2) + 1) / 2
+    # Gap to each dataset's best mean. fmax skips NaN, and the -inf start
+    # lets it reduce an empty row; an all-NaN row keeps -inf, so NaN gaps.
+    gaps = np.fmax.reduce(M, axis=1, keepdims=True, initial=-np.inf) - M
 
-    average = {}
-    avg_rank = {}
-    rmsd = {}
-    for m in methods:
-        if per_method_means[m]:
-            average[m] = float(np.mean(per_method_means[m]))
-            avg_rank[m] = float(np.mean(per_method_ranks[m]))
-            rmsd[m] = float(np.sqrt(np.mean(np.square(per_method_gaps[m]))))
-        else:
-            average[m] = float("nan")
-            avg_rank[m] = float("nan")
-            rmsd[m] = float("nan")
+    def column_mean(A: np.ndarray, j: int) -> float:
+        """Mean of column j of A over the datasets where method j is available."""
+        available = A[~np.isnan(M[:, j]), j]
+        return float(np.mean(available)) if available.size else float("nan")
 
+    columns = list(enumerate(methods))
     return BenchmarkTable(
         datasets=datasets,
         methods=methods,
         cells=stats,
-        average=average,
-        avg_rank=avg_rank,
-        rmsd=rmsd,
+        average={m: column_mean(M, j) for j, m in columns},
+        avg_rank={m: column_mean(ranks, j) for j, m in columns},
+        rmsd={m: float(np.sqrt(column_mean(np.square(gaps), j))) for j, m in columns},
     )

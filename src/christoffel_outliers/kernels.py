@@ -90,13 +90,6 @@ def _int_power(base, exponent: int):
     return result
 
 
-def _mirror_upper(A: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle of A onto the lower one in place, for exact symmetry."""
-    for i in range(A.shape[0] - 1):
-        A[i + 1 :, i] = A[i, i + 1 :]
-    return A
-
-
 def _sq_norms(A: np.ndarray) -> np.ndarray:
     """Squared norm of each row of A.
 
@@ -178,15 +171,17 @@ def _kernel_rows(spec: KernelSpec, basis: tuple, Q: np.ndarray) -> tuple[np.ndar
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     """Pairwise kernel matrix of the rows of X (n x n, raw kernel values).
 
-    The pairwise matrix is mirrored from its upper triangle before the
-    transform, so the result is exactly symmetric. The RBF diagonal is a
-    distance of exactly 0, so its kernel values are exactly 1.
+    The result is exactly symmetric: numpy computes ``A @ A.T`` with one
+    symmetric rank-k update (BLAS ``syrk``) and copies its triangle onto the
+    other, and every later step is elementwise on symmetric operands. The
+    RBF diagonal is a distance of exactly 0, so its kernel values are
+    exactly 1.
     """
     X = as_matrix(X)
     if spec.family == POLYNOMIAL:
-        return _transform(spec, _mirror_upper(X @ X.T))
+        return _transform(spec, X @ X.T)
     rows, _, sq = _row_basis(spec, X)
-    D = _mirror_upper(_sq_distances(rows @ rows.T, np.add.outer(sq, sq)))
+    D = _sq_distances(rows @ rows.T, np.add.outer(sq, sq))
     np.fill_diagonal(D, 0.0)
     return _transform(spec, D)
 

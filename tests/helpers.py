@@ -52,8 +52,11 @@ def cdist_rbf_scores(X: np.ndarray, queries: np.ndarray, sigma: float, rho: floa
 
 
 def triu_mirror(A: np.ndarray) -> np.ndarray:
-    """Reference for ``kernels._mirror_upper``: a new array with the upper
-    triangle of A on both sides of the diagonal."""
+    """A new array with the upper triangle of A on both sides of the diagonal.
+
+    ``gram_matrix`` must equal this form of itself bit for bit: numpy's
+    ``A @ A.T`` copies one computed triangle onto the other, and every later
+    step is elementwise on symmetric operands."""
     return np.triu(A) + np.triu(A, 1).T
 
 

@@ -919,3 +919,13 @@ def test_grid_requires_two_steps():
     model = fit_kic(rng.normal(size=(4, 2)), KernelSpec.rbf(1.0), 0.1)
     with pytest.raises(ValueError, match="steps"):
         grid_scores(model, (-1.0, 1.0, 1), (-1.0, 1.0, 3))
+
+
+@pytest.mark.parametrize("steps", [2.9, float("inf"), float("nan")])
+def test_grid_requires_a_whole_step_count(steps):
+    rng = np.random.default_rng(15)
+    model = fit_kic(rng.normal(size=(4, 2)), KernelSpec.rbf(1.0), 0.1)
+    with pytest.raises(ValueError, match="whole number"):
+        grid_scores(model, (-1.0, 1.0, steps), (-1.0, 1.0, 3))
+    xs, _, _ = grid_scores(model, (-1.0, 1.0, 3.0), (-1.0, 1.0, np.int64(3)))
+    assert xs.shape == (3,)

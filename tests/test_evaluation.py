@@ -179,3 +179,63 @@ def test_summary_rejects_bad_input():
         summarize({("d1", "A"): [0.5], ("d2", "B"): [0.6]}, ["d1", "d2"], ["A", "B"])
     with pytest.raises(ValueError, match="no trial values"):
         summarize({("d1", "A"): []}, ["d1"], ["A"])
+    # A NaN mean would read as an unavailable cell.
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            summarize({("d1", "A"): [0.5, bad], ("d1", "B"): [0.6]}, ["d1"], ["A", "B"])
+
+
+def test_summary_eight_datasets_with_gaps_and_ties():
+    # Eight or more values per column, where a sum that skips NaN can round
+    # differently from the mean of the available values; each aggregate is
+    # np.mean of an explicit list of those values, in dataset order.
+    means = {
+        "A": [0.9, 0.5, None, 0.25, 0.75, 0.5, 0.1, 0.6, 0.3],
+        "B": [0.9, 0.75, 0.4, None, 0.75, 0.2, 0.1, None, 0.3],
+        "C": [0.1, 0.5, 0.4, 0.25, None, 0.5, 0.1, 0.7, 0.8],
+    }
+    datasets = [f"d{i}" for i in range(9)]
+    cells = {
+        (d, m): None if v[i] is None else [v[i]]
+        for m, v in means.items() for i, d in enumerate(datasets)
+    }
+    table = summarize(cells, datasets, list(means))
+    ranks = {
+        "A": [1.5, 2.5, 1.5, 1.5, 1.5, 2, 2, 2.5],
+        "B": [1.5, 1, 1.5, 1.5, 3, 2, 2.5],
+        "C": [3, 2.5, 1.5, 1.5, 1.5, 2, 1, 1],
+    }
+    gaps = {
+        "A": [0.0, 0.25, 0.0, 0.0, 0.0, 0.0, 0.1, 0.5],
+        "B": [0.0, 0.0, 0.0, 0.0, 0.3, 0.0, 0.5],
+        "C": [0.8, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    }
+    for m, values in means.items():
+        available = [v for v in values if v is not None]
+        assert table.average[m] == np.mean(available)
+        assert table.avg_rank[m] == np.mean(ranks[m])
+        assert table.rmsd[m] == pytest.approx(np.sqrt(np.mean(np.square(gaps[m]))), rel=1e-12)
+
+
+def test_summary_empty_axes():
+    table = summarize({("d1", "A"): [0.5]}, [], ["A", "B"])
+    assert table.cells == {}
+    for row in (table.average, table.avg_rank, table.rmsd):
+        assert list(row) == ["A", "B"] and all(np.isnan(v) for v in row.values())
+    table = summarize({("d1", "A"): [0.5]}, ["d1"], [])
+    assert table.cells == {} and table.average == table.avg_rank == table.rmsd == {}
+
+
+def test_summary_method_unavailable_everywhere_is_nan():
+    cells = {("d1", "A"): [0.5], ("d1", "B"): None, ("d2", "A"): [0.7], ("d2", "B"): None}
+    table = summarize(cells, ["d1", "d2"], ["A", "B"])
+    assert table.average["A"] == pytest.approx(0.6)
+    assert all(np.isnan(row["B"]) for row in (table.average, table.avg_rank, table.rmsd))
+
+
+def test_summary_rejects_repeated_names():
+    cells = {(d, m): [0.5] for d in ("d1", "d2") for m in ("A", "B")}
+    with pytest.raises(ValueError, match="repeated dataset"):
+        summarize(cells, ["d1", "d1", "d2"], ["A", "B"])
+    with pytest.raises(ValueError, match="repeated method"):
+        summarize(cells, ["d1", "d2"], ["A", "B", "A"])
