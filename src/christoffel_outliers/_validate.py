@@ -1,8 +1,13 @@
-"""Input validation shared by the numerical modules."""
+"""Input validation and the numerical-error base class shared by the numerical modules."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+class NumericalError(ValueError):
+    """A method cannot run on these data: the command line shows its bench
+    cell as '-' and makes ``score`` and ``contour`` exit 3."""
 
 
 def as_matrix(X, name: str = "X") -> np.ndarray:

@@ -16,10 +16,10 @@ import math
 
 import numpy as np
 
-from ._validate import as_matrix
+from ._validate import NumericalError, as_matrix
 
 
-class DistanceOverflowError(ValueError):
+class DistanceOverflowError(NumericalError):
     """A pairwise distance overflows double precision."""
 
 
@@ -68,9 +68,14 @@ def knn_scores(X, k: int = 5) -> np.ndarray:
     return _finite(np.partition(dist, k - 1, axis=1)[:, k - 1])
 
 
-def _nearest_to(X: np.ndarray, sample: np.ndarray) -> np.ndarray:
+def _nearest_sampled(X: np.ndarray, pool: np.ndarray, sample_size: int, rng) -> np.ndarray:
+    """Distance from each row of X to the nearest of ``sample_size`` rows of
+    ``pool``, drawn uniformly with replacement by ``rng``."""
+    if sample_size < 1:
+        raise ValueError("sample_size must be >= 1")
     from scipy.spatial.distance import cdist
 
+    sample = pool[rng.integers(0, pool.shape[0], size=sample_size)]
     return _finite(cdist(X, sample).min(axis=1))
 
 
@@ -81,11 +86,7 @@ def ksp_scores(X, sample_size: int = 20, seed: int = 0) -> np.ndarray:
     0 against its own copy in the sample.
     """
     X = as_matrix(X)
-    if sample_size < 1:
-        raise ValueError("sample_size must be >= 1")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, X.shape[0], size=sample_size)
-    return _nearest_to(X, X[idx])
+    return _nearest_sampled(X, X, sample_size, np.random.default_rng(seed))
 
 
 def ksp2_scores(X, sample_size: int = 20, alpha: float = 0.5, seed: int = 0) -> np.ndarray:
@@ -97,12 +98,6 @@ def ksp2_scores(X, sample_size: int = 20, alpha: float = 0.5, seed: int = 0) -> 
     scored against that second subsample.
     """
     X = as_matrix(X)
-    if sample_size < 1:
-        raise ValueError("sample_size must be >= 1")
     rng = np.random.default_rng(seed)
-    idx1 = rng.integers(0, X.shape[0], size=sample_size)
-    stage1 = _nearest_to(X, X[idx1])
-    keep = lowest_score_indices(stage1, alpha)
-    pool = X[keep]
-    idx2 = rng.integers(0, pool.shape[0], size=sample_size)
-    return _nearest_to(X, pool[idx2])
+    keep = lowest_score_indices(_nearest_sampled(X, X, sample_size, rng), alpha)
+    return _nearest_sampled(X, X[keep], sample_size, rng)

@@ -32,7 +32,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ._validate import as_matrix, as_vector
+from ._validate import NumericalError, as_matrix, as_vector
 from .baselines import lowest_score_indices
 from .kernels import KernelSpec, _kernel_row, _kernel_rows, _row_basis, gram_matrix
 from .linalg import (
@@ -73,19 +73,19 @@ _BLOCK_VALUES = 2**15
 DEFAULT_FEATURE_DIM_LIMIT = 20000
 
 
-class FeatureDimensionError(ValueError):
+class FeatureDimensionError(NumericalError):
     """The monomial feature dimension binomial(p + d, d) exceeds the limit."""
 
 
-class MomentMatrixError(ValueError):
+class MomentMatrixError(NumericalError):
     """The empirical moment matrix is not positive definite."""
 
 
-class RhoRangeError(ValueError):
+class RhoRangeError(NumericalError):
     """The effective regularization rho is not positive and finite."""
 
 
-class GramOverflowError(ValueError):
+class GramOverflowError(NumericalError):
     """A Gram matrix entry overflows double precision."""
 
 
@@ -394,6 +394,9 @@ def _score_rows(
         hi = min(lo + step, stop)
         G, gammas[lo:hi] = _kernel_rows(model.kernel, model._basis, Q[lo:hi])
         G /= scale
+        # The block form, not _objective per row: scoring a batch of 1000 rows
+        # (`table`'s training rows, KIC2's second stage) took 5-26% longer row
+        # by row at n=1000 and n=600.
         values[lo:hi] = _objectives(model.factorization, G, gammas[lo:hi])
 
 
@@ -421,6 +424,9 @@ def kic_score(model: ChristoffelModel, x) -> float:
     """
     x = as_vector(x, "x")
     _check_features(model, x.shape[0])
+    # The one-row forms, not a one-row block: a single query on the
+    # `queries-2d` fit (n=500, p=2) took 6-10% longer through _kernel_rows or
+    # _objectives, slower in 33-38 of 40 blocks of 1000 queries.
     g, gamma = _kernel_row(model.kernel, model._basis, x)
     g /= math.sqrt(model.n)
     return _clamp_objective(_objective(model.factorization, g, gamma), gamma)

@@ -30,13 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import DistanceOverflowError, knn_scores, ksp2_scores, ksp_scores
+from ._validate import NumericalError
+from .baselines import knn_scores, ksp2_scores, ksp_scores
 from .christoffel import (
     DEFAULT_FEATURE_DIM_LIMIT,
-    FeatureDimensionError,
-    GramOverflowError,
-    MomentMatrixError,
-    RhoRangeError,
     _grid_axis,
     _kic2_stage_two,
     default_sigma,
@@ -48,7 +45,6 @@ from .christoffel import (
 from .dataio import CsvFormatError, DataMatrix, SynthGaussianConfig, load_csv, normalize, synth_gaussian
 from .evaluation import pr_curve, summarize
 from .kernels import KernelSpec
-from .linalg import NotPositiveDefiniteError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,17 +86,6 @@ _METHOD_FLAGS = {
     "KSP": {"sample_size"},
     "KSP2": {"sample_size", "alpha"},
 }
-
-_NUMERIC_ERRORS = (
-    DistanceOverflowError,
-    FeatureDimensionError,
-    GramOverflowError,
-    MomentMatrixError,
-    NotPositiveDefiniteError,
-    RhoRangeError,
-    np.linalg.LinAlgError,
-)
-
 
 # Spellings of a boolean flag's value, read after strip() and lower().
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -375,7 +360,7 @@ def _cmd_bench(args) -> None:
                     scores = _run_method(method, dm.values, params, seed + trial, fits)
                     values.append(pr_curve(scores, labels).auprc)
                 cells[(name, method)] = values
-            except _NUMERIC_ERRORS:
+            except (NumericalError, np.linalg.LinAlgError):
                 cells[(name, method)] = None
 
     table = summarize(cells, datasets=[n for n, _ in datasets], methods=methods)
@@ -484,7 +469,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (*_NUMERIC_ERRORS, ValueError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -22,11 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cython_blas, solve_triangular
 
+from ._validate import NumericalError
+
 # Relative slack below zero beyond which the objective clamp warns.
 _CLAMP_WARN_TOL = 1e-8
 
 
-class NotPositiveDefiniteError(ValueError):
+class NotPositiveDefiniteError(NumericalError):
     """Raised when a matrix cannot be Cholesky-factorized."""
 
 

@@ -8,7 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from christoffel_outliers import load_csv, summarize
+from christoffel_outliers import (
+    DistanceOverflowError,
+    FeatureDimensionError,
+    GramOverflowError,
+    MomentMatrixError,
+    NotPositiveDefiniteError,
+    RhoRangeError,
+    cli,
+    load_csv,
+    summarize,
+)
+from christoffel_outliers._validate import NumericalError
 from christoffel_outliers.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -435,6 +446,67 @@ def test_overflowing_distances_cost_bench_their_cells_and_fail_score(tmp_path, c
         assert capsys.readouterr().err == (
             "numerical error: distances overflow double precision; use normalized data\n"
         )
+
+
+_NUMERICAL_CLASSES = [DistanceOverflowError, FeatureDimensionError, GramOverflowError,
+                      MomentMatrixError, NotPositiveDefiniteError, RhoRangeError]
+
+
+@pytest.mark.parametrize("error", _NUMERICAL_CLASSES, ids=lambda error: error.__name__)
+def test_numerical_errors_share_one_base_class(error):
+    assert issubclass(error, NumericalError)
+    assert issubclass(error, ValueError)
+
+
+@pytest.mark.parametrize("error", [*_NUMERICAL_CLASSES, np.linalg.LinAlgError],
+                         ids=lambda error: error.__name__)
+def test_failure_type_alone_decides_a_dash_cell_and_exit_3(tmp_path, monkeypatch, capsys, error):
+    def failing(X, k=5):
+        raise error("cannot score")
+
+    monkeypatch.setattr(cli, "knn_scores", failing)
+    data = _write_blobs(tmp_path)
+    out = tmp_path / "out.csv"
+    run = ["--input", str(data), "--label-column", "outlier", "--output", str(out)]
+    assert main(["bench", "--method", "KNN,KSP", *run]) == EXIT_OK
+    cells, _ = _read_bench(out)
+    assert cells[(str(data), "KNN")] is None
+    assert cells[(str(data), "KSP")] is not None
+    out.unlink()
+    assert main(["score", "--method", "KNN", *run]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numerical error:")
+    assert not out.exists()
+
+
+def test_plain_value_error_from_a_method_fails_bench(tmp_path, monkeypatch, capsys):
+    # Only a numerical error costs one cell; any other ValueError is a fault
+    # that fails the whole table.
+    def failing(X, k=5):
+        raise ValueError("not numerical")
+
+    monkeypatch.setattr(cli, "knn_scores", failing)
+    data = _write_blobs(tmp_path)
+    out = tmp_path / "out.csv"
+    code = main(["bench", "--method", "KNN,KSP", "--input", str(data),
+                 "--label-column", "outlier", "--output", str(out)])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numerical error: not numerical\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["contour", "--method", "KIC", "--grid=-1,1,1000000000000000,-1,1,3"],
+    ["score", "--method", "KSP", "--sample-size", "1000000000000000"],
+], ids=["contour-grid", "score-ksp-sample"])
+def test_request_too_large_to_allocate_is_numerical_error(tmp_path, capsys, command):
+    # 10^15 grid steps or sample rows need 7.1 PiB, more than a 64-bit Linux
+    # process can address, so the allocation fails at once whatever the
+    # overcommit setting.
+    out = tmp_path / "out.csv"
+    code = main([*command, "--input", str(_write_2d(tmp_path)), "--output", str(out)])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numerical error: Unable to allocate")
+    assert not out.exists()
 
 
 def test_bench_rejects_repeated_input(tmp_path, capsys):
