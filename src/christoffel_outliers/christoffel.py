@@ -480,17 +480,18 @@ def grid_scores(
     """
     if model.p != 2:
         raise ValueError("grid scoring requires a model trained on 2-feature data")
-    xs = _grid_axis(x_range, "x_range")
-    ys = _grid_axis(y_range, "y_range")
+    xs = np.linspace(*_grid_range(x_range, "x_range"))
+    ys = np.linspace(*_grid_range(y_range, "y_range"))
     gx, gy = np.meshgrid(xs, ys)
     scores = kic_scores(model, np.column_stack([gx.ravel(), gy.ravel()]))
     return xs, ys, scores.reshape(ys.shape[0], xs.shape[0])
 
 
-def _grid_axis(rng: tuple[float, float, int], name: str) -> np.ndarray:
+def _grid_range(rng: tuple[float, float, int], name: str) -> tuple[float, float, int]:
+    """The checked (lo, hi, steps) of a grid axis, its ``np.linspace`` arguments."""
     lo, hi, steps = rng
     if not (math.isfinite(steps) and steps == int(steps) and steps >= 2):
         raise ValueError(f"{name} must request a whole number of at least 2 steps, got {steps!r}")
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError(f"{name} must have finite bounds with hi > lo")
-    return np.linspace(float(lo), float(hi), int(steps))
+    return float(lo), float(hi), int(steps)

@@ -9,18 +9,24 @@ L L^T = rho I + G for a scaled Gram matrix G, the ridge minimum
 is the regularized distance of a feature vector v from the span of the
 training columns V, expressed through the kernel triple (G, g, gamma): one
 BLAS triangular solve per vector, a ctypes call that works in place on g
-and releases the GIL, so threads scoring other vectors run meanwhile.
+and releases the GIL, so threads scoring other vectors run meanwhile. BLAS
+dtrsv and LAPACK dtrtrs come from scipy's Cython modules, loaded without
+``import scipy.linalg``, which would take half of the package's start-up;
+dtrtrs is called as ``scipy.linalg.solve_triangular`` calls it, so its bits stay.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_blas, solve_triangular
 
 from ._validate import NumericalError
 
@@ -101,16 +107,17 @@ def spd_factor(A) -> SpdFactorization:
 
 
 def _forward(factorization: SpdFactorization, b) -> np.ndarray:
-    """L^{-1} b by forward substitution on the stored factor L."""
+    """L^{-1} b by forward substitution on the stored factor L, F-ordered."""
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != factorization.n:
+    if b.ndim not in (1, 2) or b.shape[0] != factorization.n:
         raise ValueError(
-            f"dimension mismatch: factorization is {factorization.n}, rhs has {b.shape[0]} rows"
+            f"dimension mismatch: factorization is {factorization.n}, rhs has shape {b.shape}"
         )
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs contains non-finite values")
-    # The factor was checked when built; check_finite would re-scan it per call.
-    return solve_triangular(factorization.lower, b, lower=True, check_finite=False)
+    # The factor was checked when built; only b is scanned. dtrtrs("U", "T")
+    # on the buffer of L is what solve_triangular(L, b, lower=True) runs.
+    return _trtrs(factorization, np.array(b, order="F"), b"T")
 
 
 def spd_solve(factorization: SpdFactorization, b) -> np.ndarray:
@@ -119,9 +126,27 @@ def spd_solve(factorization: SpdFactorization, b) -> np.ndarray:
     ``b`` may be a vector or a matrix of stacked right-hand-side columns.
     """
     # Triangular solves on the stored factor: cho_solve would copy it to
-    # Fortran order on every call.
-    y = _forward(factorization, b)
-    return solve_triangular(factorization.lower, y, lower=True, trans="T", check_finite=False)
+    # Fortran order on every call. The second, L^T x = y, is dtrtrs("U", "N")
+    # in place in the F-ordered y: solve_triangular's call, on its own copy.
+    return _trtrs(factorization, _forward(factorization, b), b"N")
+
+
+def _trtrs(factorization: SpdFactorization, x: np.ndarray, trans: bytes) -> np.ndarray:
+    """Solve L^T z = x (trans b"N") or L z = x (b"T") in place in the F-ordered x.
+
+    dtrtrs reads the C-ordered L as the F-ordered L^T: the call, and so the
+    bits, of ``solve_triangular(L, x, lower=True)`` on an F-ordered copy of x.
+    """
+    if x.size:
+        n, info = ctypes.c_int(factorization.n), ctypes.c_int(0)
+        view = ctypes.c_double.from_buffer
+        # x.T is the C-ordered view of x's buffer that from_buffer accepts.
+        _DTRTRS(b"U", trans, b"N", n, ctypes.c_int(x.size // factorization.n),
+                view(factorization.lower), n, view(x.T), n, info)
+        if info.value:
+            raise np.linalg.LinAlgError(
+                f"singular matrix: resolution failed at diagonal {info.value - 1}")
+    return x
 
 
 def _clamp_objective(value: float, gamma: float) -> float:
@@ -206,13 +231,34 @@ def _objectives(factorization: SpdFactorization, G: np.ndarray, gammas: np.ndarr
     return gammas - zz
 
 
-def _cython_blas_function(name: str, prototype):
-    """The BLAS routine ``name`` that ``scipy.linalg.cython_blas`` exports, as a ctypes call.
+def _scipy_linalg_module(name: str):
+    """scipy's extension module ``scipy.linalg.<name>``, reused or loaded from its file alone."""
+    fullname = f"scipy.linalg.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    directory = os.path.join(scipy_dir, "linalg")
+    paths = [os.path.join(directory, name + end) for end in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next(filter(os.path.isfile, paths), None)
+    if path is None:
+        raise ImportError(f"scipy's {fullname} is not at {paths[0]}", name=fullname)
+    loader = importlib.machinery.ExtensionFileLoader(fullname, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(fullname, loader))
+    loader.exec_module(module)
+    # The module enters itself in sys.modules. Taken out, a later ``import
+    # scipy.linalg`` imports it as usual (the extension hands back this same
+    # module object) and binds it as that package's attribute.
+    sys.modules.pop(fullname, None)
+    return module
+
+
+def _cython_function(module: str, name: str, prototype):
+    """The routine ``name`` that ``scipy.linalg.<module>`` exports, as a ctypes call.
 
     The exported capsule holds the function pointer; a ``CFUNCTYPE`` call
     releases the GIL for its duration.
     """
-    capsule = cython_blas.__pyx_capi__[name]
+    capsule = _scipy_linalg_module(module).__pyx_capi__[name]
     as_py = ctypes.PYFUNCTYPE
     get_name = as_py(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = as_py(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -223,13 +269,13 @@ def _cython_blas_function(name: str, prototype):
 
 _INT_P = ctypes.POINTER(ctypes.c_int)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+_CHAR_P = ctypes.c_char_p
 # void dtrsv(char *uplo, char *trans, char *diag, int *n, double *a, int *lda,
 #            double *x, int *incx)
-_DTRSV = _cython_blas_function(
-    "dtrsv",
-    ctypes.CFUNCTYPE(
-        None, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, _INT_P,
-        _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P,
-    ),
-)
+_DTRSV = _cython_function("cython_blas", "dtrsv", ctypes.CFUNCTYPE(
+    None, _CHAR_P, _CHAR_P, _CHAR_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P))
+# void dtrtrs(char *uplo, char *trans, char *diag, int *n, int *nrhs, double *a,
+#             int *lda, double *b, int *ldb, int *info)
+_DTRTRS = _cython_function("cython_lapack", "dtrtrs", ctypes.CFUNCTYPE(
+    None, _CHAR_P, _CHAR_P, _CHAR_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P))
 _ONE = ctypes.c_int(1)

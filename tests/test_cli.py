@@ -2,6 +2,8 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -509,6 +511,32 @@ def test_request_too_large_to_allocate_is_numerical_error(tmp_path, capsys, comm
     assert not out.exists()
 
 
+def test_grid_beyond_array_size_limit_is_numerical_error(tmp_path, capsys):
+    # 10^19 steps pass the grid checks, as 10^15 do, and numpy refuses the
+    # axis when it is built: the same exit code as an allocation failure.
+    out = tmp_path / "out.csv"
+    code = main(["contour", "--method", "KIC", "--grid=-1,1,10000000000000000000,-1,1,3",
+                 "--input", str(_write_2d(tmp_path)), "--output", str(out)])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numerical error: ")
+    assert not out.exists()
+
+
+def test_contour_checks_grid_without_building_it(tmp_path):
+    # The grid is checked before the input is read, without allocating its
+    # 10^7-step axis (76 MB when both axes were built for the check).
+    tracemalloc.start()
+    try:
+        code = main(["contour", "--method", "KIC", "--grid=-1,1,10000000,-1,1,3",
+                     "--input", str(tmp_path / "none.csv"),
+                     "--output", str(tmp_path / "g.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_IO
+    assert peak < 2**20
+
+
 def test_bench_rejects_repeated_input(tmp_path, capsys):
     data = _write_blobs(tmp_path)
     for again in (str(data), str(tmp_path / "." / data.name)):
@@ -757,6 +785,36 @@ def test_cli_import_does_not_load_scipy_stats():
     probe = "import sys, christoffel_outliers.cli; print('scipy.stats' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_scipy_linalg():
+    # import scipy.linalg takes about half of the tool's start-up; the BLAS and
+    # LAPACK routines come from scipy's Cython modules loaded on their own. A
+    # later import of scipy.linalg must find them as its own submodules, and
+    # scipy's solves and the lazily imported cdist must still work.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import christoffel_outliers.cli
+        from christoffel_outliers import knn_scores, linalg
+        loaded = "scipy.linalg" in sys.modules
+        import scipy.linalg, scipy.spatial.distance
+        for name in ("cython_blas", "cython_lapack"):
+            assert getattr(scipy.linalg, name) is sys.modules["scipy.linalg." + name], name
+        F = linalg.spd_factor(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        b = np.array([1.0, -2.0])
+        y = scipy.linalg.solve_triangular(F.lower, b, lower=True)
+        assert y.tobytes() == linalg._forward(F, b).tobytes()
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [4.0, 4.0]])
+        nearest = scipy.spatial.distance.cdist(X, X)[[1, 0, 0, 2], [0, 1, 2, 3]]
+        assert np.array_equal(knn_scores(X, k=1), nearest)
+        print(loaded)
+    """)
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtrsv
 
 from christoffel_outliers import (
@@ -127,6 +128,41 @@ def test_solve_rejects_non_finite_rhs():
     for bad in (np.array([1.0, np.nan, 0.0]), np.array([[np.inf], [0.0], [1.0]])):
         with pytest.raises(ValueError, match="non-finite"):
             spd_solve(F, bad)
+
+
+@pytest.mark.parametrize("n", [1, 6, 300])
+def test_solves_keep_solve_triangular_bits_and_layout(n):
+    # Both solves call the LAPACK dtrtrs that solve_triangular calls on a
+    # C-ordered lower factor, on an F-ordered copy of the rhs.
+    rng = np.random.default_rng(n)
+    B = rng.normal(size=(n, n))
+    F = spd_factor(B @ B.T + n * np.eye(n))
+    for b in (rng.normal(size=n), rng.normal(size=(n, 3)),
+              np.asfortranarray(rng.normal(size=(n, 4))), rng.normal(size=(n, 5))[:, ::2],
+              np.zeros((n, 0))):
+        y = solve_triangular(F.lower, b, lower=True, check_finite=False)
+        x = solve_triangular(F.lower, y, lower=True, trans="T", check_finite=False)
+        for got, expected in ((linalg._forward(F, b), y), (spd_solve(F, b), x)):
+            assert got.tobytes() == expected.tobytes()
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert got.flags.c_contiguous == expected.flags.c_contiguous
+            assert got.flags.f_contiguous == expected.flags.f_contiguous
+
+
+def test_solve_on_singular_factor_raises_like_solve_triangular():
+    lower = np.tril(np.ones((3, 3)))
+    lower[1, 1] = 0.0
+    F = linalg.SpdFactorization(lower=lower)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix") as expected:
+        solve_triangular(lower, np.ones(3), lower=True)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        spd_solve(F, np.ones(3))
+    assert str(got.value) == str(expected.value)
+
+
+def test_missing_scipy_extension_raises_import_error_naming_its_path():
+    with pytest.raises(ImportError, match=r"linalg\.no_such_module is not at .*no_such_module\."):
+        linalg._scipy_linalg_module("no_such_module")
 
 
 # ---------------------------------------------------------------------------
