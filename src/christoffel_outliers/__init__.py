@@ -4,8 +4,9 @@ Explicit moment-matrix scoring with the scaled monomial feature map, a
 kernelized regularized variant that works with arbitrary kernels (RBF in
 particular), distance-based baseline detectors, precision-recall
 evaluation, a comma-separated file reader with 0/1 labels, normalization
-and a synthetic Gaussian benchmark generator. The ``cli`` module exposes
-all of it as a command-line tool.
+and ``synth_gaussian``, the synthetic Gaussian benchmark, whose keyword
+parameters default to the standard 1000 x 1000 instance. The ``cli``
+module exposes all of it as a command-line tool.
 """
 
 __version__ = "0.1.0"
@@ -29,23 +30,8 @@ from .christoffel import (
     kic2_scores,
     kic_score,
     kic_scores,
-    kic_scores_all,
 )
-from .dataio import (
-    CsvFormatError,
-    DataMatrix,
-    SynthGaussianConfig,
-    load_csv,
-    normalize,
-    synth_gaussian,
-)
+from .dataio import CsvFormatError, DataMatrix, load_csv, normalize, synth_gaussian
 from .evaluation import BenchmarkTable, CellStats, PRCurve, pr_curve, summarize
-from .kernels import KernelSpec, cross_vector, gram_matrix
-from .linalg import (
-    NotPositiveDefiniteError,
-    SpdFactorization,
-    frobenius_norm,
-    ridge_objective_from_factor,
-    spd_factor,
-    spd_solve,
-)
+from .kernels import KernelSpec, gram_matrix
+from .linalg import NotPositiveDefiniteError, SpdFactorization, frobenius_norm, spd_factor

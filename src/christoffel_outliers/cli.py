@@ -42,7 +42,7 @@ from .christoffel import (
     ic_scores,
     kic_scores,
 )
-from .dataio import CsvFormatError, DataMatrix, SynthGaussianConfig, load_csv, normalize, synth_gaussian
+from .dataio import CsvFormatError, DataMatrix, _check_synth, load_csv, normalize, synth_gaussian
 from .evaluation import pr_curve, summarize
 from .kernels import KernelSpec
 
@@ -54,7 +54,6 @@ EXIT_IO = 4
 ENV_PREFIX = "CHRISTOFFEL_"
 PRNG_NAME = "numpy-PCG64"
 
-METHODS = ("IC", "KIC", "KIC2", "KIC-RBF", "KIC-RBF2", "KNN", "KSP", "KSP2")
 RANDOMIZED_METHODS = {"KSP", "KSP2"}
 
 # Method-specific flags: type, value when omitted, accepted range on n rows,
@@ -86,6 +85,7 @@ _METHOD_FLAGS = {
     "KSP": {"sample_size"},
     "KSP2": {"sample_size", "alpha"},
 }
+METHODS = tuple(_METHOD_FLAGS)
 
 # Spellings of a boolean flag's value, read after strip() and lower().
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -253,7 +253,6 @@ def _run_method(method: str, X: np.ndarray, params: dict, seed: int, fits: dict)
         return ksp_scores(X, params["sample_size"], seed)
     if method == "KSP2":
         return ksp2_scores(X, params["sample_size"], params["alpha"], seed)
-    raise ConfigError(f"unknown method {method!r}")
 
 
 def _fmt(x) -> str:
@@ -387,30 +386,33 @@ def _cmd_bench(args) -> None:
 def _cmd_synth(args) -> None:
     if not args.output:
         raise ConfigError("synth requires --output")
+    params = {
+        "num_clusters": _resolve(args, "clusters", int, 5),
+        "samples_per_cluster": _resolve(args, "samples_per_cluster", int, 194),
+        "num_outliers": _resolve(args, "outliers", int, 30),
+        "dimension": _resolve(args, "dimension", int, 1000),
+        "seed": _seed(args),
+        "variance_repair": _resolve(args, "variance_repair", str, "abs"),
+    }
+    # Checked apart from the draw: an array too large for numpy is a
+    # numerical error (exit 3), not a configuration error.
     try:
-        cfg = SynthGaussianConfig(
-            num_clusters=_resolve(args, "clusters", int, 5),
-            samples_per_cluster=_resolve(args, "samples_per_cluster", int, 194),
-            num_outliers=_resolve(args, "outliers", int, 30),
-            dimension=_resolve(args, "dimension", int, 1000),
-            seed=_seed(args),
-            variance_repair=_resolve(args, "variance_repair", str, "abs"),
-        )
+        _check_synth(**params)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    dm = synth_gaussian(cfg)
+    dm = synth_gaussian(**params)
 
     meta = [
-        ("clusters", cfg.num_clusters),
-        ("samples_per_cluster", cfg.samples_per_cluster),
-        ("outliers", cfg.num_outliers),
-        ("dimension", cfg.dimension),
-        ("variance_repair", cfg.variance_repair),
+        ("clusters", params["num_clusters"]),
+        ("samples_per_cluster", params["samples_per_cluster"]),
+        ("outliers", params["num_outliers"]),
+        ("dimension", params["dimension"]),
+        ("variance_repair", params["variance_repair"]),
     ]
     rows: list[list] = [[f"f{j + 1}" for j in range(dm.p)] + ["outlier"]]
     for i in range(dm.n):
         rows.append([_fmt(v) for v in dm.values[i]] + [int(dm.labels[i])])
-    _write(args.output, "synth", False, cfg.seed, meta, rows)
+    _write(args.output, "synth", False, params["seed"], meta, rows)
 
 
 def _cmd_contour(args) -> None:

@@ -7,8 +7,10 @@ zero-based index. The data rows are parsed by numpy's C reader; when it
 cannot vouch for its table, a row loop reads the file again, checks each
 row as it reads it, and returns the table or raises at the first faulty
 row. Real datasets, and turning their classes into 0/1 labels, are the
-user's to supply; this module only prepares them and generates the
-synthetic Gaussian benchmark.
+user's to supply; this module only prepares them. ``synth_gaussian``
+generates the synthetic Gaussian benchmark from six keyword parameters
+(clusters, samples per cluster, outliers, dimension, seed and variance
+repair) whose defaults give the standard 1000 x 1000 instance.
 """
 
 from __future__ import annotations
@@ -59,36 +61,6 @@ class DataMatrix:
     @property
     def p(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class SynthGaussianConfig:
-    """Configuration of the synthetic Gaussian benchmark.
-
-    Defaults reproduce the standard instance: 5 clusters of 194 samples
-    plus 30 box-uniform outliers in 1000 dimensions, 1000 rows total.
-    ``variance_repair`` says how to turn the N(0,1) covariance draws into
-    valid variances: absolute value ("abs", default) or squaring ("square").
-    """
-
-    num_clusters: int = 5
-    samples_per_cluster: int = 194
-    num_outliers: int = 30
-    dimension: int = 1000
-    seed: int = 0
-    variance_repair: str = "abs"
-
-    def __post_init__(self):
-        if self.num_clusters < 1 or self.samples_per_cluster < 1:
-            raise ValueError("need at least one cluster with at least one sample")
-        if self.num_outliers < 0:
-            raise ValueError("num_outliers must be nonnegative")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.variance_repair not in ("abs", "square"):
-            raise ValueError("variance_repair must be 'abs' or 'square'")
 
 
 def load_csv(path, label_column: str | int | None = None) -> DataMatrix:
@@ -215,10 +187,15 @@ def _first_row(path: Path, row: list[str], label_column) -> tuple[list[str] | No
 
 def _bad_cell(path: Path, lineno: int, row: list[str]) -> CsvFormatError:
     """The error for the first cell of ``row`` that is not a finite number."""
-    cell, col = next((c, i) for i, c in enumerate(row) if not _is_finite_number(c))
-    return CsvFormatError(
-        f"{path}: value {cell.strip()!r} at row {lineno}, column {col + 1} is not a finite number"
-    )
+    for col, cell in enumerate(row):
+        try:
+            if math.isfinite(float(cell)):
+                continue
+        except ValueError:
+            pass
+        return CsvFormatError(
+            f"{path}: value {cell.strip()!r} at row {lineno}, column {col + 1} is not a finite number"
+        )
 
 
 def _label_index(path: Path, label_column, header: list[str] | None, width: int) -> int | None:
@@ -240,14 +217,6 @@ def _label_index(path: Path, label_column, header: list[str] | None, width: int)
     if width == 1:
         raise CsvFormatError(f"{path}: the label column is the only column; no feature columns remain")
     return label_idx
-
-
-def _is_finite_number(cell: str) -> bool:
-    """Whether ``cell`` parses as a finite float; used only to locate a bad cell."""
-    try:
-        return math.isfinite(float(cell))
-    except ValueError:
-        return False
 
 
 def normalize(dm: DataMatrix) -> DataMatrix:
@@ -288,33 +257,53 @@ def normalize(dm: DataMatrix) -> DataMatrix:
     )
 
 
-def synth_gaussian(cfg: SynthGaussianConfig) -> DataMatrix:
+def synth_gaussian(
+    *,
+    num_clusters: int = 5,
+    samples_per_cluster: int = 194,
+    num_outliers: int = 30,
+    dimension: int = 1000,
+    seed: int = 0,
+    variance_repair: str = "abs",
+) -> DataMatrix:
     """Generate the synthetic Gaussian benchmark.
 
-    Cluster means are N(0, I) draws; each cluster gets a diagonal
-    covariance whose entries are N(0, 1) draws repaired into variances
-    (see ``variance_repair``). Outliers draw every coordinate uniformly
+    The defaults give the standard instance: 5 clusters of 194 samples plus
+    30 outliers in 1000 dimensions, 1000 rows in all. Cluster means are
+    N(0, I) draws; each cluster gets a diagonal covariance whose entries are
+    N(0, 1) draws made into variances by ``variance_repair``: absolute value
+    ("abs") or squaring ("square"). Outliers draw every coordinate uniformly
     between the per-coordinate minimum and maximum of the inlier samples,
     so they sit inside the inlier bounding box but off the clusters.
+
+    Raises:
+        ValueError: if a parameter is out of range, before anything is drawn.
     """
-    rng = np.random.default_rng(cfg.seed)
-    k, m, p = cfg.num_clusters, cfg.samples_per_cluster, cfg.dimension
+    _check_synth(num_clusters, samples_per_cluster, num_outliers, dimension, seed, variance_repair)
+    rng = np.random.default_rng(seed)
+    k, m, p = num_clusters, samples_per_cluster, dimension
     means = rng.standard_normal((k, p))
     raw = rng.standard_normal((k, p))
-    variances = np.abs(raw) if cfg.variance_repair == "abs" else np.square(raw)
+    variances = np.abs(raw) if variance_repair == "abs" else np.square(raw)
     parts = []
     for c in range(k):
         z = rng.standard_normal((m, p))
         parts.append(means[c] + z * np.sqrt(variances[c]))
     inliers = np.vstack(parts)
-    if cfg.num_outliers > 0:
-        lo = inliers.min(axis=0)
-        hi = inliers.max(axis=0)
-        outliers = rng.uniform(lo, hi, size=(cfg.num_outliers, p))
-        values = np.vstack([inliers, outliers])
-    else:
-        values = inliers
-    labels = np.concatenate(
-        [np.zeros(inliers.shape[0], dtype=int), np.ones(cfg.num_outliers, dtype=int)]
-    )
-    return DataMatrix(values=values, labels=labels)
+    outliers = rng.uniform(inliers.min(axis=0), inliers.max(axis=0), size=(num_outliers, p))
+    labels = np.concatenate([np.zeros(inliers.shape[0], dtype=int), np.ones(num_outliers, dtype=int)])
+    return DataMatrix(values=np.vstack([inliers, outliers]), labels=labels)
+
+
+def _check_synth(num_clusters, samples_per_cluster, num_outliers, dimension, seed, variance_repair):
+    """Raise ``ValueError`` for the first ``synth_gaussian`` parameter out of range."""
+    if num_clusters < 1 or samples_per_cluster < 1:
+        raise ValueError("need at least one cluster with at least one sample")
+    if num_outliers < 0:
+        raise ValueError("num_outliers must be nonnegative")
+    if dimension < 1:
+        raise ValueError("dimension must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    if variance_repair not in ("abs", "square"):
+        raise ValueError("variance_repair must be 'abs' or 'square'")

@@ -11,13 +11,12 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtrtri
 
 from christoffel_outliers import (
     FeatureDimensionError,
     KernelSpec,
-    SynthGaussianConfig,
     build_feature_map,
-    cross_vector,
     default_sigma,
     feature_matrix,
     fit_kic,
@@ -32,7 +31,8 @@ from christoffel_outliers import (
     synth_gaussian,
 )
 from christoffel_outliers.christoffel import FeatureMap, _ic_scores_from_map
-from christoffel_outliers.dataio import DataMatrix, synth_gaussian as _synth
+from christoffel_outliers.dataio import DataMatrix
+from christoffel_outliers.kernels import cross_vector
 from christoffel_outliers.cli import main as cli_main
 
 from helpers import explicit_phi
@@ -197,7 +197,7 @@ def test_criterion_4_kernel_identity():
 
 
 def _gaussian_auprcs(p: int, seed: int) -> tuple[dict[str, float], dict[str, float]]:
-    dm = normalize(synth_gaussian(SynthGaussianConfig(dimension=p, seed=seed)))
+    dm = normalize(synth_gaussian(dimension=p, seed=seed))
     X, labels = dm.values, dm.labels
     results = {}
     timings = {}
@@ -436,11 +436,8 @@ def _prop_seed_determinism(rng) -> bool:
         ):
             return False
     for seed in (0, 1, 2):
-        cfg = SynthGaussianConfig(
-            num_clusters=2, samples_per_cluster=8, num_outliers=3, dimension=5,
-            seed=seed,
-        )
-        if not np.array_equal(_synth(cfg).values, _synth(cfg).values):
+        cfg = dict(num_clusters=2, samples_per_cluster=8, num_outliers=3, dimension=5, seed=seed)
+        if not np.array_equal(synth_gaussian(**cfg).values, synth_gaussian(**cfg).values):
             return False
     return True
 
@@ -457,3 +454,30 @@ def test_criterion_9_property_suites():
     failed = [name for name, result in suites.items() if not result]
     _report(9, "property suites (100 cases each)", not failed,
             "all green" if not failed else f"failed: {failed}")
+
+
+# ---------------------------------------------------------------------------
+# 10. training-row scores equal the ridge-leverage identity
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["poly", "rbf"])
+@pytest.mark.parametrize("p", [2, 20, 1000])
+def test_criterion_10_training_scores_match_leverage_identity(p, family):
+    # With A = rho I + G/n = L L^T and a_ii = [A^-1]_ii, a training row scores
+    # exactly n rho (1 - rho a_ii) (Pauwels, Bach & Vert, NeurIPS 2018), and
+    # a_ii is the squared norm of column i of L^-1: an oracle that shares no
+    # kernel row, trsv or dot product with kic_scores.
+    X = normalize(synth_gaussian(dimension=p, seed=0)).values
+    kernel = KernelSpec.polynomial(2) if family == "poly" else KernelSpec.rbf(math.sqrt(p) / 2.0)
+    start = time.perf_counter()
+    model = fit_kic(X, kernel, C=500.0)
+    scores = kic_scores(model, model.training)
+    inverse, info = dtrtri(model.factorization.lower, lower=1)
+    assert info == 0
+    n, rho = model.n, model.rho
+    identity = n * rho * (1.0 - rho * np.einsum("ki,ki->i", inverse, inverse))
+    worst = float(np.max(np.abs(scores - identity) / np.abs(identity)))
+    elapsed = time.perf_counter() - start
+    _report(10, f"leverage identity {family} p={p}", worst <= 1e-9,
+            f"worst rel err {worst:.2e}, {elapsed:.2f}s")

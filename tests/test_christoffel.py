@@ -18,9 +18,9 @@ from christoffel_outliers import (
     GramOverflowError,
     KernelSpec,
     MomentMatrixError,
+    NotPositiveDefiniteError,
     SpdFactorization,
     build_feature_map,
-    cross_vector,
     default_rho,
     default_sigma,
     feature_matrix,
@@ -31,11 +31,11 @@ from christoffel_outliers import (
     kic2_scores,
     kic_score,
     kic_scores,
-    kic_scores_all,
     lowest_score_indices,
 )
 from christoffel_outliers import christoffel, kernels, linalg
-from christoffel_outliers.christoffel import FeatureMap, _ic_scores_from_map
+from christoffel_outliers.christoffel import FeatureMap, _ic_scores_from_map, kic_scores_all
+from christoffel_outliers.kernels import cross_vector
 
 from helpers import cdist_rbf, cdist_rbf_scores, explicit_phi, power_feature_matrix
 
@@ -179,6 +179,16 @@ def test_ic_rejects_fewer_distinct_rows_than_monomials(distinct, repeats, p, d):
     X = np.repeat(np.random.default_rng(2).normal(size=(distinct, p)), repeats, axis=0)
     with pytest.raises(MomentMatrixError, match="not positive definite"):
         ic_scores(X, X, d)
+
+
+def test_ic_on_a_variety_fails_in_the_factorization():
+    # Ten distinct rows on the line y = x outnumber the three monomials of
+    # degree 1, so only the Cholesky factorization finds M singular.
+    t = np.arange(10.0)
+    X = np.column_stack([t, t])
+    with pytest.raises(MomentMatrixError, match="degree-1 variety") as raised:
+        ic_scores(X, X, 1)
+    assert isinstance(raised.value.__cause__, NotPositiveDefiniteError)
 
 
 def test_ic_scores_make_one_triangular_solve(monkeypatch):
@@ -761,8 +771,6 @@ def test_kic2_rejects_bad_alpha():
 def test_kic_score_matches_dense_ridge_solve():
     # The factored solve values the regularized distance
     # gamma - g^T (G/n + rho I)^{-1} g that a dense solve gives.
-    from christoffel_outliers import cross_vector
-
     rng = np.random.default_rng(16)
     for _ in range(10):
         n = int(rng.integers(2, 20))

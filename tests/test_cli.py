@@ -81,6 +81,16 @@ def _write_blobs(tmp_path, n_inlier=40, n_outlier=8, p=3, seed=0):
     return path
 
 
+def _fails_writing_nothing(tmp_path, capsys, argv, data, code, message):
+    """main(argv), with IN and OUT read as ``data`` and an output path, exits
+    ``code`` with ``message`` on stderr and adds no file to tmp_path."""
+    names = {"IN": str(data), "OUT": str(tmp_path / "out.csv")}
+    before = set(tmp_path.iterdir())
+    assert main([names.get(arg, arg) for arg in argv]) == code
+    assert message in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
+
+
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
@@ -245,6 +255,22 @@ def test_score_unknown_method(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["--input", "IN", "--output", "OUT"], EXIT_CONFIG, "score requires exactly one --method"),
+    (["--method", "KIC,KNN", "--input", "IN", "--output", "OUT"], EXIT_CONFIG,
+     "score requires exactly one --method"),
+    (["--method", "KNN", "--output", "OUT"], EXIT_CONFIG, "score requires --input and --output"),
+    (["--method", "KNN", "--input", "IN"], EXIT_CONFIG, "score requires --input and --output"),
+    (["--method", "KNN", "--input", "IN", "--output", "OUT", "--label-column", "-1"], EXIT_IO,
+     "label column index -1 out of range for 4 columns"),
+    (["--method", "KNN", "--input", "IN", "--output", "OUT", "--label-column", "4"], EXIT_IO,
+     "label column index 4 out of range for 4 columns"),
+])
+def test_score_configuration_errors(tmp_path, capsys, argv, code, message):
+    data = _write_blobs(tmp_path)
+    _fails_writing_nothing(tmp_path, capsys, ["score", *argv], data, code, message)
+
+
 def test_score_missing_input_is_io_error(tmp_path):
     code = main(["score", "--method", "KNN", "--input", str(tmp_path / "none.csv"),
                  "--output", str(tmp_path / "x.csv")])
@@ -380,6 +406,24 @@ def test_bench_marks_unavailable_methods_with_dash(tmp_path):
     assert cells[(str(path), "IC")] is None
     assert cells[(str(path), "KNN")] is not None
     assert np.isnan(aggregates["average"]["IC"])
+
+
+def test_ic_on_a_variety_fails_score_and_costs_bench_its_cell(tmp_path, capsys):
+    # Ten distinct rows on y = x: the distinct-row check passes, and the
+    # Cholesky factorization of the degree-1 moment matrix fails.
+    path = tmp_path / "line.csv"
+    path.write_text("x,y,outlier\n" + "".join(f"{t},{t},{int(t >= 8)}\n" for t in range(10)))
+    _fails_writing_nothing(tmp_path, capsys,
+                           ["score", "--method", "IC", "--degree", "1", "--input", "IN",
+                            "--label-column", "outlier", "--output", "OUT"],
+                           path, EXIT_NUMERIC, "variety")
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--method", "IC,KNN", "--degree", "1", "--input", str(path),
+                 "--label-column", "outlier", "--output", str(out)])
+    assert code == EXIT_OK
+    cells, _ = _read_bench(out)
+    assert cells[(str(path), "IC")] is None
+    assert cells[(str(path), "KNN")] is not None
 
 
 @pytest.mark.parametrize("flags", [["--rho", "1e-300"], ["--C", "1e308"], ["--C", "1e-310"]],
@@ -638,6 +682,28 @@ def test_bench_requires_labels(tmp_path, capsys):
     assert "line.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["--input", "IN", "--label-column", "outlier", "--output", "OUT"], EXIT_CONFIG,
+     "bench requires --method"),
+    (["--method", "KNN", "--label-column", "outlier", "--output", "OUT"], EXIT_CONFIG,
+     "bench requires --input"),
+    (["--method", "KNN", "--input", "IN", "--label-column", "outlier"], EXIT_CONFIG,
+     "bench requires --output"),
+    (["--method", "KNN", "--input", "IN", "--label-column", "outlier", "--output", "OUT",
+      "--trials", "0"], EXIT_CONFIG, "--trials must be >= 1"),
+    (["--method", "KNN", "--input", "IN", "--label-column", "inlier", "--output", "OUT"],
+     EXIT_CONFIG, "has degenerate labels (single class)"),
+    (["--method", "KNN", "--input", "IN", "--label-column", "5", "--output", "OUT"], EXIT_IO,
+     "label column index 5 out of range for 5 columns"),
+])
+def test_bench_configuration_errors(tmp_path, capsys, argv, code, message):
+    data = _write_blobs(tmp_path)
+    # A second 0/1 column that marks every row 0: one class only.
+    lines = data.read_text().splitlines()
+    data.write_text("\n".join([lines[0] + ",inlier"] + [line + ",0" for line in lines[1:]]) + "\n")
+    _fails_writing_nothing(tmp_path, capsys, ["bench", *argv], data, code, message)
+
+
 def test_bench_synthetic_gaussian_near_perfect(tmp_path):
     data = tmp_path / "gauss.csv"
     assert main(["synth", "--dimension", "40", "--clusters", "5",
@@ -684,11 +750,11 @@ def test_synth_roundtrip_and_determinism(tmp_path):
     assert dm.values.shape == (21, 6)
     assert int(dm.labels.sum()) == 3
 
-    from christoffel_outliers import SynthGaussianConfig, synth_gaussian
+    from christoffel_outliers import synth_gaussian
 
-    direct = synth_gaussian(SynthGaussianConfig(
+    direct = synth_gaussian(
         num_clusters=2, samples_per_cluster=9, num_outliers=3, dimension=6, seed=11,
-    ))
+    )
     # CSV round trip preserves every double exactly (repr formatting)
     assert np.array_equal(dm.values, direct.values)
 
@@ -698,6 +764,25 @@ def test_synth_bad_config(tmp_path):
     assert code == EXIT_CONFIG
     code = main(["synth", "--seed", "-1", "--output", str(tmp_path / "g.csv")])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ([], EXIT_CONFIG, "synth requires --output"),
+    (["--output", "OUT", "--dimension", "0"], EXIT_CONFIG, "dimension must be >= 1"),
+    (["--output", "OUT", "--seed", "-1"], EXIT_CONFIG, "--seed must be >= 0, got -1"),
+    (["--output", "OUT", "--variance-repair", "clip"], EXIT_CONFIG,
+     "variance_repair must be 'abs' or 'square'"),
+    # Of two bad flags, the one checked first is reported: flags are read in
+    # order, then the values are checked in order.
+    (["--output", "OUT", "--dimension", "0", "--clusters", "0"], EXIT_CONFIG,
+     "need at least one cluster with at least one sample"),
+    (["--output", "OUT", "--dimension", "x", "--seed", "-1"], EXIT_CONFIG,
+     "invalid value for --dimension: 'x'"),
+    # An array numpy cannot shape is a numerical error, as one it cannot allocate is.
+    (["--output", "OUT", "--dimension", str(10**20)], EXIT_NUMERIC, "numerical error: "),
+])
+def test_synth_configuration_errors(tmp_path, capsys, argv, code, message):
+    _fails_writing_nothing(tmp_path, capsys, ["synth", *argv], None, code, message)
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +862,19 @@ def test_contour_requires_grid(tmp_path):
         code = main(["contour", "--method", "KIC", "--input", str(tmp_path / "none.csv"),
                      f"--grid={grid}", "--output", str(tmp_path / "g.csv")])
         assert code == EXIT_CONFIG, grid
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--input", "IN", "--output", "OUT"], "contour requires exactly one --method"),
+    (["--method", "KIC,KIC-RBF", "--input", "IN", "--output", "OUT"],
+     "contour requires exactly one --method"),
+    (["--method", "KIC", "--output", "OUT"], "contour requires --input and --output"),
+    (["--method", "KIC", "--input", "IN"], "contour requires --input and --output"),
+])
+def test_contour_configuration_errors(tmp_path, capsys, argv, message):
+    data = _write_2d(tmp_path)
+    _fails_writing_nothing(tmp_path, capsys, ["contour", *argv, "--grid=-1,1,3,-1,1,3"], data,
+                           EXIT_CONFIG, message)
 
 
 def test_cli_import_does_not_load_scipy_stats():

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from christoffel_outliers import (
     CsvFormatError,
     DataMatrix,
-    SynthGaussianConfig,
     dataio,
     load_csv,
     normalize,
@@ -413,21 +411,20 @@ def test_normalize_keeps_labels():
 
 
 def test_synth_default_shape_matches_benchmark_row():
-    dm = synth_gaussian(SynthGaussianConfig(dimension=1000, seed=0))
+    dm = synth_gaussian(dimension=1000, seed=0)
     assert dm.values.shape == (1000, 1000)
     assert int(dm.labels.sum()) == 30
 
 
 def test_synth_deterministic():
-    cfg = SynthGaussianConfig(dimension=20, seed=42)
-    a = synth_gaussian(cfg)
-    b = synth_gaussian(cfg)
+    a = synth_gaussian(dimension=20, seed=42)
+    b = synth_gaussian(dimension=20, seed=42)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_synth_outliers_inside_inlier_box():
-    dm = synth_gaussian(SynthGaussianConfig(dimension=15, seed=7))
+    dm = synth_gaussian(dimension=15, seed=7)
     inliers = dm.values[dm.labels == 0]
     outliers = dm.values[dm.labels == 1]
     lo = inliers.min(axis=0)
@@ -437,23 +434,20 @@ def test_synth_outliers_inside_inlier_box():
 
 
 def test_synth_square_repair_and_counts():
-    cfg = SynthGaussianConfig(
-        num_clusters=3, samples_per_cluster=10, num_outliers=4, dimension=6,
-        seed=1, variance_repair="square",
-    )
-    dm = synth_gaussian(cfg)
+    cfg = dict(num_clusters=3, samples_per_cluster=10, num_outliers=4, dimension=6, seed=1)
+    dm = synth_gaussian(**cfg, variance_repair="square")
     assert dm.values.shape == (34, 6)
     assert int(dm.labels.sum()) == 4
-    absolute = synth_gaussian(dataclasses.replace(cfg, variance_repair="abs"))
+    absolute = synth_gaussian(**cfg, variance_repair="abs")
     assert not np.array_equal(dm.values, absolute.values)
 
 
 def test_synth_config_validation():
     with pytest.raises(ValueError):
-        SynthGaussianConfig(num_clusters=0)
+        synth_gaussian(num_clusters=0)
     with pytest.raises(ValueError):
-        SynthGaussianConfig(dimension=0)
+        synth_gaussian(dimension=0)
     with pytest.raises(ValueError):
-        SynthGaussianConfig(variance_repair="clip")
+        synth_gaussian(variance_repair="clip")
     with pytest.raises(ValueError):
-        SynthGaussianConfig(seed=-1)
+        synth_gaussian(seed=-1)

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from christoffel_outliers import (
-    KernelSpec,
-    build_feature_map,
-    cross_vector,
-    feature_matrix,
-    gram_matrix,
-)
-from christoffel_outliers.kernels import MAX_POLY_DEGREE
+from christoffel_outliers import KernelSpec, build_feature_map, feature_matrix, gram_matrix
+from christoffel_outliers.kernels import MAX_POLY_DEGREE, cross_vector
 
 from helpers import explicit_phi  # noqa: F401  (sibling import path check)
 from helpers import triu_mirror

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -9,11 +15,10 @@ from christoffel_outliers import (
     fit_kic,
     frobenius_norm,
     gram_matrix,
-    ridge_objective_from_factor,
     spd_factor,
-    spd_solve,
 )
 from christoffel_outliers import linalg
+from christoffel_outliers.linalg import ridge_objective_from_factor, spd_solve
 
 from helpers import random_spd_triple
 
@@ -163,6 +168,35 @@ def test_solve_on_singular_factor_raises_like_solve_triangular():
 def test_missing_scipy_extension_raises_import_error_naming_its_path():
     with pytest.raises(ImportError, match=r"linalg\.no_such_module is not at .*no_such_module\."):
         linalg._scipy_linalg_module("no_such_module")
+
+
+_SCORE_BYTES = textwrap.dedent("""
+    import hashlib, sys
+    if sys.argv[1] == "first":
+        import scipy.linalg
+        assert "scipy.linalg.cython_blas" in sys.modules
+    import numpy as np
+    from christoffel_outliers import KernelSpec, fit_kic, ic_scores, kic_scores, linalg
+    if sys.argv[1] == "first":
+        assert linalg._scipy_linalg_module("cython_blas") is sys.modules["scipy.linalg.cython_blas"]
+    X = np.random.default_rng(7).normal(size=(60, 3))
+    kic = kic_scores(fit_kic(X, KernelSpec.polynomial(2)), X)
+    print(hashlib.sha256(kic.tobytes() + ic_scores(X, X, 2).tobytes()).hexdigest())
+""")
+
+
+def test_scipy_linalg_imported_first_gives_its_blas_module_and_the_same_scores():
+    # With scipy.linalg already imported, the package binds dtrsv and dtrtrs
+    # from the cython_blas and cython_lapack modules it loaded.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    digests = []
+    for order in ("first", "never"):
+        result = subprocess.run([sys.executable, "-c", _SCORE_BYTES, order],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
