@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import os
 import sys
@@ -56,36 +55,45 @@ PRNG_NAME = "numpy-PCG64"
 
 RANDOMIZED_METHODS = {"KSP", "KSP2"}
 
-# Method-specific flags: type, value when omitted, accepted range on n rows,
-# that range in words and the help text. Supplying one for a method outside
-# its _METHOD_FLAGS column is a configuration error caught before any
-# computation.
+# Method-specific flags: type, accepted range on n rows, that range in words
+# and the help text. _METHOD_FLAGS gives each method's flags and their values
+# when omitted; supplying a flag outside its method's entry is a
+# configuration error caught before any computation.
 _POSITIVE_FINITE = (lambda v, n: 0 < v < math.inf, "be positive and finite")
 _HYPERPARAMETERS = {
-    "degree": (int, 2, lambda v, n: v >= 1, "be >= 1", "polynomial degree d"),
-    "C": (float, 500.0, *_POSITIVE_FINITE, "regularization divisor C"),
-    "rho": (float, None, *_POSITIVE_FINITE, "explicit rho, bypassing the C rule"),
-    "sigma": (float, None, *_POSITIVE_FINITE, "RBF lengthscale"),
-    "alpha": (float, 0.6, lambda v, n: 0.0 < v <= 1.0, "lie in (0, 1]",
-              "filtered-variant keep fraction"),
-    "k": (int, 5, lambda v, n: 1 <= v <= n - 1, "satisfy 1 <= k <= n - 1 = {m}",
+    "degree": (int, lambda v, n: v >= 1, "be >= 1", "polynomial degree d"),
+    "C": (float, *_POSITIVE_FINITE, "regularization divisor C"),
+    "rho": (float, *_POSITIVE_FINITE, "explicit rho, bypassing the C rule"),
+    "sigma": (float, *_POSITIVE_FINITE, "RBF lengthscale"),
+    "alpha": (float, lambda v, n: 0.0 < v <= 1.0, "lie in (0, 1]", "filtered-variant keep fraction"),
+    "k": (int, lambda v, n: 1 <= v <= n - 1, "satisfy 1 <= k <= n - 1 = {m}",
           "neighbor count for KNN"),
-    "sample_size": (int, 20, lambda v, n: v >= 1, "be >= 1", "subsample size for KSP/KSP2"),
-    "feature_dim_limit": (int, DEFAULT_FEATURE_DIM_LIMIT, lambda v, n: v >= 1, "be >= 1",
+    "sample_size": (int, lambda v, n: v >= 1, "be >= 1", "subsample size for KSP/KSP2"),
+    "feature_dim_limit": (int, lambda v, n: v >= 1, "be >= 1",
                           "monomial feature dimension cap for IC"),
 }
 
 _METHOD_FLAGS = {
-    "IC": {"degree", "feature_dim_limit"},
-    "KIC": {"degree", "C", "rho"},
-    "KIC2": {"degree", "C", "alpha"},
-    "KIC-RBF": {"sigma", "C", "rho"},
-    "KIC-RBF2": {"sigma", "C", "alpha"},
-    "KNN": {"k"},
-    "KSP": {"sample_size"},
-    "KSP2": {"sample_size", "alpha"},
+    "IC": {"degree": 2, "feature_dim_limit": DEFAULT_FEATURE_DIM_LIMIT},
+    "KIC": {"degree": 2, "C": 500.0, "rho": None},
+    "KIC2": {"degree": 2, "C": 500.0, "alpha": 0.6},
+    "KIC-RBF": {"C": 500.0, "rho": None, "sigma": None},
+    "KIC-RBF2": {"C": 500.0, "sigma": None, "alpha": 0.6},
+    "KNN": {"k": 5},
+    "KSP": {"sample_size": 20},
+    "KSP2": {"alpha": 0.5, "sample_size": 20},
 }
 METHODS = tuple(_METHOD_FLAGS)
+
+# synth's flags in metadata order: synth_gaussian keyword, type, value when
+# omitted and help text.
+_SYNTH_FLAGS = {
+    "clusters": ("num_clusters", int, 5, "cluster count"),
+    "samples_per_cluster": ("samples_per_cluster", int, 194, "inliers per cluster"),
+    "outliers": ("num_outliers", int, 30, "outlier count"),
+    "dimension": ("dimension", int, 1000, "feature count"),
+    "variance_repair": ("variance_repair", str, "abs", "'abs' or 'square'"),
+}
 
 # Spellings of a boolean flag's value, read after strip() and lower().
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -127,11 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate the synthetic Gaussian benchmark")
     p_synth.add_argument("--output")
     p_synth.add_argument("--seed")
-    p_synth.add_argument("--dimension", help="feature count (default 1000)")
-    p_synth.add_argument("--clusters", help="cluster count (default 5)")
-    p_synth.add_argument("--samples-per-cluster", help="inliers per cluster (default 194)")
-    p_synth.add_argument("--outliers", help="outlier count (default 30)")
-    p_synth.add_argument("--variance-repair", help="'abs' (default) or 'square'")
+    for flag, (_, _, default, text) in _SYNTH_FLAGS.items():
+        p_synth.add_argument(_flag(flag), dest=flag, help=f"{text} (default {default})")
 
     p_contour = sub.add_parser("contour", help="score grid for contour plotting")
     add_run(p_contour)
@@ -190,11 +195,8 @@ def _method_params(method: str, p: int, n: int, args) -> dict:
         ConfigError: if a value lies outside the range its method accepts.
     """
     params: dict = {}
-    for flag, (cast, default, accepts, rule, _) in _HYPERPARAMETERS.items():
-        if flag not in _METHOD_FLAGS[method]:
-            continue
-        if method == "KSP2" and flag == "alpha":
-            default = 0.5
+    for flag, default in _METHOD_FLAGS[method].items():
+        cast, accepts, rule, _ = _HYPERPARAMETERS[flag]
         value = _resolve(args, flag, cast, default)
         if value is not None and not accepts(value, n):
             raise ConfigError(f"{_flag(flag)} must {rule.format(m=n - 1)}, got {value}")
@@ -255,13 +257,9 @@ def _run_method(method: str, X: np.ndarray, params: dict, seed: int, fits: dict)
         return ksp2_scores(X, params["sample_size"], params["alpha"], seed)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _write(path, command: str, normalize_on: bool, seed: int, meta, rows) -> None:
-    """Write the '# key = value' header (run settings, then ``meta``) and the CSV rows."""
-    buffer = io.StringIO()
+def _write(path, command: str, normalize_on: bool, seed: int, meta, columns, rows) -> None:
+    """Write the '# key = value' header (run settings, then ``meta``), the column
+    names, then each of ``rows`` as it comes; a float prints as its ``repr``."""
     header = [
         ("tool", "christoffel-outliers"),
         ("version", __version__),
@@ -271,9 +269,11 @@ def _write(path, command: str, normalize_on: bool, seed: int, meta, rows) -> Non
         ("prng", PRNG_NAME),
         *meta,
     ]
-    buffer.writelines(f"# {key} = {value}\n" for key, value in header)
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    Path(path).write_text(buffer.getvalue(), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as file:
+        file.writelines(f"# {key} = {value}\n" for key, value in header)
+        writer = csv.writer(file, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _one_method(args, command: str, supported=None) -> str:
@@ -309,8 +309,8 @@ def _cmd_score(args) -> None:
 
     meta = [("method", method), ("input", args.input)]
     meta += [(key, params[key]) for key in sorted(params)]
-    rows = [["score"], *([_fmt(s)] for s in scores)]
-    _write(args.output, "score", normalize_on, seed, meta, rows)
+    rows = ([s] for s in scores.tolist())
+    _write(args.output, "score", normalize_on, seed, meta, ["score"], rows)
 
 
 def _cmd_bench(args) -> None:
@@ -367,33 +367,28 @@ def _cmd_bench(args) -> None:
     meta = [("methods", ",".join(methods)), ("inputs", ",".join(inputs)), ("trials", trials)]
     given = [flag for flag in _HYPERPARAMETERS if getattr(args, flag) is not None]
     meta += [(flag, getattr(args, flag)) for flag in given]
-    rows: list[list] = [["record", "dataset", "method", "value", "std", "trials"]]
+    rows: list[list] = []
     for name in table.datasets:
         for method in table.methods:
             cell = table.cells[(name, method)]
             if cell is None:
                 rows.append(["cell", name, method, "-", "-", "-"])
             else:
-                rows.append(
-                    ["cell", name, method, _fmt(cell.mean), _fmt(cell.std), cell.trials]
-                )
+                rows.append(["cell", name, method, cell.mean, cell.std, cell.trials])
     for kind in ("average", "avg_rank", "rmsd"):
         for method in table.methods:
-            rows.append([kind, "-", method, _fmt(getattr(table, kind)[method]), "-", "-"])
-    _write(args.output, "bench", normalize_on, seed, meta, rows)
+            rows.append([kind, "-", method, getattr(table, kind)[method], "-", "-"])
+    columns = ["record", "dataset", "method", "value", "std", "trials"]
+    _write(args.output, "bench", normalize_on, seed, meta, columns, rows)
 
 
 def _cmd_synth(args) -> None:
     if not args.output:
         raise ConfigError("synth requires --output")
-    params = {
-        "num_clusters": _resolve(args, "clusters", int, 5),
-        "samples_per_cluster": _resolve(args, "samples_per_cluster", int, 194),
-        "num_outliers": _resolve(args, "outliers", int, 30),
-        "dimension": _resolve(args, "dimension", int, 1000),
-        "seed": _seed(args),
-        "variance_repair": _resolve(args, "variance_repair", str, "abs"),
-    }
+    meta = [(flag, _resolve(args, flag, cast, default))
+            for flag, (_, cast, default, _) in _SYNTH_FLAGS.items()]
+    params = {_SYNTH_FLAGS[flag][0]: value for flag, value in meta}
+    params["seed"] = _seed(args)
     # Checked apart from the draw: an array too large for numpy is a
     # numerical error (exit 3), not a configuration error.
     try:
@@ -402,17 +397,9 @@ def _cmd_synth(args) -> None:
         raise ConfigError(str(exc))
     dm = synth_gaussian(**params)
 
-    meta = [
-        ("clusters", params["num_clusters"]),
-        ("samples_per_cluster", params["samples_per_cluster"]),
-        ("outliers", params["num_outliers"]),
-        ("dimension", params["dimension"]),
-        ("variance_repair", params["variance_repair"]),
-    ]
-    rows: list[list] = [[f"f{j + 1}" for j in range(dm.p)] + ["outlier"]]
-    for i in range(dm.n):
-        rows.append([_fmt(v) for v in dm.values[i]] + [int(dm.labels[i])])
-    _write(args.output, "synth", False, params["seed"], meta, rows)
+    columns = [f"f{j + 1}" for j in range(dm.p)] + ["outlier"]
+    rows = (row.tolist() + [label] for row, label in zip(dm.values, dm.labels.tolist()))
+    _write(args.output, "synth", False, params["seed"], meta, columns, rows)
 
 
 def _cmd_contour(args) -> None:
@@ -440,11 +427,9 @@ def _cmd_contour(args) -> None:
     grid = ",".join(map(str, x_range + y_range))
     meta = [("method", method), ("input", args.input), ("grid", grid)]
     meta += [(key, params[key]) for key in sorted(params)]
-    rows: list[list] = [["x", "y", "score"]]
-    for i in range(ys.shape[0]):
-        for j in range(xs.shape[0]):
-            rows.append([_fmt(xs[j]), _fmt(ys[i]), _fmt(scores[i, j])])
-    _write(args.output, "contour", normalize_on, seed, meta, rows)
+    xs = xs.tolist()
+    rows = ([x, y, s] for y, row in zip(ys.tolist(), scores.tolist()) for x, s in zip(xs, row))
+    _write(args.output, "contour", normalize_on, seed, meta, ["x", "y", "score"], rows)
 
 
 _COMMANDS = {

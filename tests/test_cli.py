@@ -14,10 +14,13 @@ from christoffel_outliers import (
     DistanceOverflowError,
     FeatureDimensionError,
     GramOverflowError,
+    KernelSpec,
     MomentMatrixError,
     NotPositiveDefiniteError,
     RhoRangeError,
     cli,
+    fit_kic,
+    grid_scores,
     load_csv,
     summarize,
 )
@@ -757,6 +760,25 @@ def test_synth_roundtrip_and_determinism(tmp_path):
     )
     # CSV round trip preserves every double exactly (repr formatting)
     assert np.array_equal(dm.values, direct.values)
+    # The printed text too: each value is its repr, the label an int.
+    lines = [line for line in out1.read_text().splitlines() if not line.startswith("#")]
+    assert lines[0] == "f1,f2,f3,f4,f5,f6,outlier"
+    assert lines[1:] == [",".join(map(repr, row)) + f",{label}"
+                         for row, label in zip(direct.values.tolist(), direct.labels.tolist())]
+
+
+def test_synth_writes_row_by_row(tmp_path):
+    # A 1000 x 200 array is 1.6 MB. Its formatted rows as Python objects take
+    # about ten times that, so the bound holds only when each row is written
+    # as it is formatted.
+    tracemalloc.start()
+    try:
+        code = main(["synth", "--dimension", "200", "--output", str(tmp_path / "g.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 6 * 1000 * 200 * 8
 
 
 def test_synth_bad_config(tmp_path):
@@ -820,6 +842,13 @@ def test_contour_grid_counts_and_determinism(tmp_path):
     rows = _read_grid(out1)
     assert len(rows) == 100
     assert all(np.isfinite(score) for _, _, score in rows)
+    # The printed text: the repr of each x, y and grid_scores score, x varying fastest.
+    model = fit_kic(load_csv(data).values, KernelSpec.polynomial(2), None, 500.0)
+    xs, ys, scores = grid_scores(model, (-2.0, 2.0, 10), (-2.0, 2.0, 10))
+    lines = [line for line in out1.read_text().splitlines() if not line.startswith("#")]
+    expected = [f"{x!r},{y!r},{s!r}"
+                for y, row in zip(ys.tolist(), scores.tolist()) for x, s in zip(xs.tolist(), row)]
+    assert lines == ["x,y,score", *expected]
 
 
 def test_contour_rbf_far_field(tmp_path):
@@ -914,6 +943,22 @@ def test_cli_import_does_not_load_scipy_linalg():
                             env={**os.environ, "PYTHONPATH": str(src)})
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # python -m christoffel_outliers.cli runs cli.entry, which exits with main's code.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CHRISTOFFEL_")}
+    env["PYTHONPATH"] = str(src)
+    command = [sys.executable, "-m", "christoffel_outliers.cli", "synth", "--dimension", "2",
+               "--clusters", "1", "--samples-per-cluster", "3", "--outliers", "1"]
+    out = tmp_path / "g.csv"
+    ok = subprocess.run([*command, "--output", str(out)], env=env, capture_output=True, text=True)
+    assert ok.returncode == EXIT_OK, ok.stderr
+    assert "f1,f2,outlier" in out.read_text().splitlines()
+    missing = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert missing.returncode == EXIT_CONFIG
+    assert missing.stderr.startswith("configuration error: ")
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
