@@ -17,6 +17,14 @@ For the polynomial kernel, phi(rho) / rho is a lower bound on q(x) and
 converges to it as rho -> 0; any other positive-definite kernel (RBF in
 particular) can be substituted, which the explicit route cannot do.
 
+A polynomial fit with s <= n takes the feature route instead: G = V V^T for
+its n x s features V, so with M = V^T V / n (built as the explicit route
+builds it) exactly phi(rho) = rho v(x)^T (rho I + M)^{-1} v(x), the
+regularized Christoffel function, and ||G||_F = ||M||_F gives the C rule's
+rho. It factors the s x s rho I + M and solves s-long systems. Its scores are
+never negative, so the kernel route's zero clamp never fires on it; and at a
+tiny rho a full-rank rho I + M factors where rho I + G (rank s < n) fails.
+
 Default hyperparameter rules and the two-stage filtered variant live here
 as well.
 """
@@ -46,8 +54,8 @@ from .linalg import (
     spd_factor,
 )
 
-# A batch of m rows is split over threads only on a fit of at least
-# _SPLIT_MIN_N rows, and only when m n^2, which sets the batch's solve time,
+# A batch of m rows is split over threads only on a factor of order n of at
+# least _SPLIT_MIN_N, and only when m n^2, which sets the batch's solve time,
 # reaches _SPLIT_MIN_WORK. Split time over serial time on 2 cores with 1 BLAS
 # thread, p=20, medians of 9 alternating runs on a noisy host (polynomial /
 # RBF): for 1000 rows 0.77-1.10 / 0.84-0.99 at n=300, 0.73-0.91 / 0.75-0.84
@@ -60,13 +68,18 @@ from .linalg import (
 _SPLIT_MIN_N = 400
 _SPLIT_MIN_WORK = 2**25
 
-# Kernel values per block of a batch, about 256 KB: 64 rows at n=512, 32 at
-# n=1000. A block makes one stacked kernel product and one stacked dot
-# product, against a trsv per row. Bounding its values, not its rows, keeps
-# each thread's two or three block-sized temporaries small at any n: with
-# 64-row blocks the `table` benchmark peaked 1.4 MB above the per-row loop,
-# with this bound it peaks level with it, in the same wall time.
+# Kernel values (or features) per block of a batch, about 256 KB: 64 rows at
+# n=512, 32 at n=1000. A block makes one stacked kernel product and one
+# stacked dot product, against a trsv per row. Bounding its values, not its
+# rows, keeps each thread's two or three block-sized temporaries small at any
+# n: with 64-row blocks the `table` benchmark peaked 1.4 MB above the per-row
+# loop, with this bound it peaks level with it, in the same wall time.
 _BLOCK_VALUES = 2**15
+
+# A grid point takes 16 bytes as a stacked (x, y) row, the largest of the
+# grid's arrays. A grid past this cap, far below the 2^47 bytes a 64-bit
+# Linux process can address, fails before any input is read.
+_GRID_MAX_BYTES = 2**40
 
 # Beyond this feature dimension a dense s x s solve is hopeless on desk
 # hardware; fail fast instead of exhausting memory.
@@ -119,19 +132,23 @@ class ChristoffelModel:
 
     Holds the kernel, the regularization rho, the training rows and a
     factorization of (rho I + G_scaled) with G_scaled the Gram matrix
-    divided by n.
+    divided by n, or of (rho I + M) on the feature route (``feature_map``).
     """
 
     kernel: KernelSpec
     rho: float
     training: np.ndarray
     factorization: SpdFactorization
-    # What a kernel row needs of the training rows (``kernels._row_basis``):
-    # for RBF the centred rows, their mean and their squared norms.
+    feature_map: FeatureMap | None = None
+    # What a row needs of the model: the ``_monomials`` of the feature map,
+    # or the ``kernels._row_basis`` of the training rows (for RBF the centred
+    # rows, their mean and their squared norms).
     _basis: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_basis", _row_basis(self.kernel, self.training))
+        fm = self.feature_map
+        basis = _row_basis(self.kernel, self.training) if fm is None else _monomials(fm)
+        object.__setattr__(self, "_basis", basis)
 
     @property
     def n(self) -> int:
@@ -186,15 +203,44 @@ def feature_matrix(fm: FeatureMap, X) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: feature map expects {fm.input_dim} features, got {X.shape[1]}"
         )
-    # A monomial has at most min(d, p) nonzero exponents. Put them first, in
-    # coordinate order, so that the product of their powers takes the same
-    # steps as a product over all p coordinates; x ** 0 = 1 pads the rest.
+    return _features(_monomials(fm), X)
+
+
+def _monomials(fm: FeatureMap) -> tuple:
+    """The exponents 0..d, for each slot an (s,) index j (d + 1) + k into a
+    row's powers x_j ** k, and the coefficients: what ``_features`` reads."""
+    # A monomial has at most min(d, p) nonzero exponents. They fill its slots
+    # first, in coordinate order, so that the product of their powers takes
+    # the same steps as a product over all p coordinates; x ** 0 = 1 pads the rest.
     coords = np.argsort(fm.exponents == 0, axis=1, kind="stable")[:, : fm.degree]
     powers = np.take_along_axis(fm.exponents, coords, axis=1)
-    out = np.ones((X.shape[0], fm.dimension))
-    for c, a in zip(coords.T, powers.T):
-        out *= X[:, c] ** a
-    return out * fm.coefficients
+    slots = np.ascontiguousarray((coords * (fm.degree + 1) + powers).T)
+    return np.arange(fm.degree + 1), slots, fm.coefficients
+
+
+def _features(monomials: tuple, Q: np.ndarray) -> np.ndarray:
+    """v(x) of a checked row (1-D Q) or of each row of a block (2-D); every
+    step is elementwise, so a row has the same bits in any block."""
+    exponents, slots, coefficients = monomials
+    table = np.power.outer(Q, exponents).reshape(Q.shape[:-1] + (-1,))
+    out = table.take(slots[0], axis=-1)
+    for index in slots[1:]:
+        out *= table.take(index, axis=-1)
+    out *= coefficients
+    return out
+
+
+def _moment_matrix(fm: FeatureMap, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The features V of the checked rows of X and M = V^T V / n, which must be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = feature_matrix(fm, X)
+        M = V.T @ V / X.shape[0]
+    if not np.isfinite(M).all():
+        raise MomentMatrixError(
+            f"moment matrix overflows double precision at degree {fm.degree}; "
+            "use a lower degree or normalized data"
+        )
+    return V, M
 
 
 def _ic_scores_from_map(fm: FeatureMap, X: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -206,14 +252,7 @@ def _ic_scores_from_map(fm: FeatureMap, X: np.ndarray, queries: np.ndarray) -> n
             f"moment matrix not positive definite: {distinct} distinct rows, "
             f"fewer than the {fm.dimension} monomials of degree {fm.degree}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = feature_matrix(fm, X)
-        M = phi.T @ phi / X.shape[0]
-    if not np.isfinite(M).all():
-        raise MomentMatrixError(
-            f"moment matrix overflows double precision at degree {fm.degree}; "
-            "use a lower degree or normalized data"
-        )
+    phi, M = _moment_matrix(fm, X)
     try:
         factor = spd_factor(M)
     except NotPositiveDefiniteError as exc:
@@ -254,15 +293,20 @@ def default_rho(G_scaled, C: float) -> float:
     ``G_scaled`` is the Gram matrix already divided by n, matching how the
     fitted model scales it.
     """
-    if not C > 0:
-        raise ValueError("C must be positive")
     G_scaled = np.asarray(G_scaled, dtype=float)
     if G_scaled.ndim != 2 or G_scaled.shape[0] != G_scaled.shape[1]:
         raise ValueError("G_scaled must be a square matrix")
-    norm = frobenius_norm(G_scaled)
+    return _c_rule(G_scaled, C, G_scaled.shape[0])
+
+
+def _c_rule(A: np.ndarray, C: float, n: int) -> float:
+    """||A||_F / (C sqrt(n)), with A the scaled Gram of n rows or their moment matrix."""
+    if not C > 0:
+        raise ValueError("C must be positive")
+    norm = frobenius_norm(A)
     if norm == 0.0:
         raise ValueError("degenerate Gram matrix: Frobenius norm is zero")
-    return norm / (C * math.sqrt(G_scaled.shape[0]))
+    return norm / (C * math.sqrt(n))
 
 
 def default_sigma(p: int, variant: str = "KIC") -> float:
@@ -285,75 +329,77 @@ def fit_kic(
 ) -> ChristoffelModel:
     """Fit the kernelized scorer: factorize (rho I + G/n) over the rows of X.
 
-    The Gram matrix is built once. When ``rho`` is None it comes from
-    ``default_rho`` on that same scaled Gram with divisor ``C``; the model
-    records the effective value, at which the factor is exact.
+    A polynomial kernel with binomial(p + d, d) <= n takes the feature route
+    and factorizes (rho I + M) instead; otherwise the Gram is built once.
+    When ``rho`` is None it comes from the C rule on that same matrix
+    (||G/n||_F = ||M||_F) with divisor ``C``; the model records it.
 
     Raises:
         GramOverflowError: if a Gram matrix entry overflows.
+        MomentMatrixError: if a moment matrix entry overflows.
         RhoRangeError: if the effective rho is not positive and finite.
         NotPositiveDefiniteError: if rho I + G/n is not positive definite.
     """
     X = as_matrix(X)
-    n = X.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        A = gram_matrix(kernel, X)
-    if not np.isfinite(A).all():
-        at, fix = (f" at degree {kernel.degree}", "a lower degree or ") if kernel.degree else ("", "")
-        raise GramOverflowError(
-            f"{kernel.family} Gram matrix overflows double precision{at}; use {fix}normalized data"
-        )
-    # Scale the fresh Gram and add rho to its diagonal in place: no n x n temporaries.
-    A /= n
+    n, p = X.shape
+    d = kernel.degree and int(kernel.degree)  # None for RBF
+    fm = build_feature_map(p, d, dim_limit=n) if d and math.comb(p + d, d) <= n else None
+    if fm is not None:
+        A = _moment_matrix(fm, X)[1]
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = gram_matrix(kernel, X)
+        if not np.isfinite(A).all():
+            at, fix = (f" at degree {kernel.degree}", "a lower degree or ") if kernel.degree else ("", "")
+            raise GramOverflowError(
+                f"{kernel.family} Gram matrix overflows double precision{at}; use {fix}normalized data"
+            )
+        # Scale the fresh Gram and add rho to its diagonal in place: no n x n temporaries.
+        A /= n
     origin = "given"
     if rho is None:
-        rho, origin = default_rho(A, C), f"from C = {C:g}"
+        rho, origin = _c_rule(A, C, n), f"from C = {C:g}"
     if not 0 < rho < math.inf:
         raise RhoRangeError(f"rho must be positive and finite, got rho = {rho:g} ({origin})")
-    A.flat[:: n + 1] += rho
+    step = A.shape[0] + 1
+    A.flat[::step] += rho
     try:
         factor = spd_factor(A)
     except NotPositiveDefiniteError as exc:
-        A.flat[:: n + 1] -= rho
+        A.flat[::step] -= rho
         raise NotPositiveDefiniteError(
             f"rho I + G/n is not positive definite at rho = {rho:g} "
             f"(||G/n||_F = {frobenius_norm(A):g}); use a larger rho or a smaller C"
         ) from exc
-    return ChristoffelModel(kernel=kernel, rho=float(rho), training=X, factorization=factor)
+    return ChristoffelModel(kernel=kernel, rho=float(rho), training=X, factorization=factor,
+                            feature_map=fm)
 
 
 def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     """Kernelized scores phi(rho) = gamma - g^T (rho I + G)^{-1} g, one per row of Q.
 
-    g is scaled by 1/sqrt(n) and G by 1/n (the moment scaling); gamma is the
-    raw self-kernel value. With the stored factor L L^T = rho I + G each
-    value is gamma - ||L^{-1} g||^2: one matrix-vector product for the
-    kernel row and one BLAS triangular solve per row. The values are
-    clamped at zero in row order at the end, on the calling thread. Q is
-    checked here, a kernel row for finiteness only when its solve comes out
-    non-finite, and the training rows were checked by ``fit_kic``.
+    g is scaled by 1/sqrt(n), G by 1/n and gamma is the raw self-kernel; with
+    the stored factor L L^T = rho I + G each value is gamma - ||L^{-1} g||^2,
+    clamped at zero in row order on the calling thread. On the feature route
+    L L^T = rho I + M, and each value is rho ||L^{-1} v(x)||^2, -rho times
+    that objective at gamma = 0, unclamped.
 
-    Each row is solved on its own, and its kernel row and self inner
-    product are each one BLAS matrix-vector or dot product of its own: a
-    batched solve or a matrix-matrix product rounds a column differently
-    depending on its position in the block, and a row's score must not
-    depend on the rows scored with it. The rows go in blocks of about
-    ``_BLOCK_VALUES`` kernel values, so the numpy work around the solves runs
-    once per block, not once per row, with one stacked product making the
-    per-row calls. A batch of m rows on a model with n >= ``_SPLIT_MIN_N``
-    training rows and m n^2 >= ``_SPLIT_MIN_WORK`` is split into contiguous
-    chunks, one per CPU the process may run on, each scored by the same block
-    loop on its own thread. The solves and the stacked products release the GIL, so the
-    chunks run at the same time. A score therefore depends neither on the
-    batch nor on the CPU count, and equals ``kic_score`` at its row.
+    Each row gets its own right-hand side, trsv and dot product, which a
+    batched solve would round by the row's place in the block, so a score
+    depends neither on the batch nor on the CPU count, and equals
+    ``kic_score`` at its row. A batch of m rows on a factor of order
+    n >= ``_SPLIT_MIN_N`` with m n^2 >= ``_SPLIT_MIN_WORK`` is split into
+    contiguous chunks, one per CPU the process may run on, each scored by
+    ``_score_rows`` on its own thread while the solves release the GIL.
     """
     Q = as_matrix(Q, "Q")
     _check_features(model, Q.shape[1])
     m = Q.shape[0]
+    size = model.factorization.n
     values = np.empty(m)
     gammas = np.empty(m)
     workers = 1
-    if model.n >= _SPLIT_MIN_N and m * model.n**2 >= _SPLIT_MIN_WORK:
+    if size >= _SPLIT_MIN_N and m * size**2 >= _SPLIT_MIN_WORK:
         workers = min(_cpu_count(), m)
     if workers < 2:
         _score_rows(model, Q, values, gammas, 0, m)
@@ -370,6 +416,8 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
             ]
             for future in futures:
                 future.result()
+    if model.feature_map is not None:
+        return values * -model.rho
     return np.fromiter(map(_clamp_objective, values.tolist(), gammas.tolist()), float, count=m)
 
 
@@ -381,23 +429,30 @@ def _score_rows(
     start: int,
     stop: int,
 ) -> None:
-    """Write the unclamped value and the self-kernel of rows start..stop-1 of Q.
-
-    The rows go in blocks of at most ``_BLOCK_VALUES`` kernel values (at
-    least one row): one stacked kernel product per block, the elementwise
-    steps once over it, then one trsv per row, so each row keeps the bits of
-    a one-row ``kic_score`` call.
-    """
-    scale = math.sqrt(model.n)
-    step = max(1, _BLOCK_VALUES // model.n)
+    """Write the unclamped value and the self-kernel of rows start..stop-1 of
+    Q, in blocks of at most ``_BLOCK_VALUES`` kernel values or features (at
+    least one row): ``_rows`` once per block, then one trsv per row."""
+    step = max(1, _BLOCK_VALUES // model.factorization.n)
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)
-        G, gammas[lo:hi] = _kernel_rows(model.kernel, model._basis, Q[lo:hi])
-        G /= scale
+        R, gammas[lo:hi] = _rows(model, Q[lo:hi])
         # The block form, not _objective per row: scoring a batch of 1000 rows
         # (`table`'s training rows, KIC2's second stage) took 5-26% longer row
         # by row at n=1000 and n=600.
-        values[lo:hi] = _objectives(model.factorization, G, gammas[lo:hi])
+        values[lo:hi] = _objectives(model.factorization, R, gammas[lo:hi])
+
+
+def _rows(model: ChristoffelModel, Q: np.ndarray) -> tuple:
+    """The right-hand sides and self-kernels of a checked row (1-D Q) or
+    block (2-D): kernel rows scaled by 1/sqrt(n), or features and 0.0."""
+    if model.feature_map is not None:
+        return _features(model._basis, Q), 0.0
+    # The one-row forms for one row: a single query on the `queries-2d` fit
+    # (n=500, p=2) took 6-10% longer through _kernel_rows or _objectives,
+    # slower in 33-38 of 40 blocks of 1000 queries.
+    g, gamma = (_kernel_row if Q.ndim == 1 else _kernel_rows)(model.kernel, model._basis, Q)
+    g /= math.sqrt(model.n)
+    return g, gamma
 
 
 def _check_features(model: ChristoffelModel, p: int) -> None:
@@ -417,19 +472,17 @@ def kic_score(model: ChristoffelModel, x) -> float:
     """Kernelized score at one query point.
 
     x is checked once and scored on the calling thread by the one-row forms
-    of the steps ``kic_scores`` takes per block: a kernel row, scaled by
-    1/sqrt(n) in place, and one triangular solve in place on it. The value
-    is clamped by the same rule, so the result matches the row's entry of
-    ``kic_scores`` bit for bit, whatever the batch.
+    of the steps ``kic_scores`` takes per block, ``_rows`` and one triangular
+    solve, and finished by the same rule: the result matches the row's entry
+    of ``kic_scores`` bit for bit, whatever the batch.
     """
     x = as_vector(x, "x")
     _check_features(model, x.shape[0])
-    # The one-row forms, not a one-row block: a single query on the
-    # `queries-2d` fit (n=500, p=2) took 6-10% longer through _kernel_rows or
-    # _objectives, slower in 33-38 of 40 blocks of 1000 queries.
-    g, gamma = _kernel_row(model.kernel, model._basis, x)
-    g /= math.sqrt(model.n)
-    return _clamp_objective(_objective(model.factorization, g, gamma), gamma)
+    g, gamma = _rows(model, x)
+    value = _objective(model.factorization, g, gamma)
+    if model.feature_map is not None:
+        return -model.rho * value
+    return _clamp_objective(value, gamma)
 
 
 def kic_scores_all(X, kernel: KernelSpec, rho: float) -> np.ndarray:
@@ -445,13 +498,10 @@ def kic_scores_all(X, kernel: KernelSpec, rho: float) -> np.ndarray:
 def kic2_scores(X, kernel: KernelSpec, C: float, alpha: float = 0.6) -> np.ndarray:
     """Two-stage filtered kernelized scores.
 
-    Stage one fits on all of X with rho from ``default_rho`` and scores
-    every row. The ceil(alpha * n) lowest-scoring rows (ties by position)
-    form the filtered set; stage two fits on that set, again with the
-    default rho rule, and scores every original row. Each stage builds one
-    Gram matrix. Stage two is ``_kic2_stage_two``, which a caller holding
-    the stage-one scores already (the plain C-rule KIC scores of X) can run
-    on its own.
+    Stage one fits on all of X with rho from the C rule and scores every
+    row. Stage two, ``_kic2_stage_two``, which a caller holding the C-rule
+    KIC scores of X can run on its own, fits on their ceil(alpha * n) lowest
+    rows (ties by position), again by the C rule, and scores every row of X.
     """
     X = as_matrix(X)
     if not 0.0 < alpha <= 1.0:
@@ -480,18 +530,24 @@ def grid_scores(
     """
     if model.p != 2:
         raise ValueError("grid scoring requires a model trained on 2-feature data")
-    xs = np.linspace(*_grid_range(x_range, "x_range"))
-    ys = np.linspace(*_grid_range(y_range, "y_range"))
+    xs, ys = (np.linspace(*axis) for axis in _grid_range(x_range, y_range))
     gx, gy = np.meshgrid(xs, ys)
     scores = kic_scores(model, np.column_stack([gx.ravel(), gy.ravel()]))
     return xs, ys, scores.reshape(ys.shape[0], xs.shape[0])
 
 
-def _grid_range(rng: tuple[float, float, int], name: str) -> tuple[float, float, int]:
-    """The checked (lo, hi, steps) of a grid axis, its ``np.linspace`` arguments."""
-    lo, hi, steps = rng
-    if not (math.isfinite(steps) and steps == int(steps) and steps >= 2):
-        raise ValueError(f"{name} must request a whole number of at least 2 steps, got {steps!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise ValueError(f"{name} must have finite bounds with hi > lo")
-    return float(lo), float(hi), int(steps)
+def _grid_range(x_range, y_range, names=("x_range", "y_range")) -> list[tuple[float, float, int]]:
+    """The checked (lo, hi, steps) of both grid axes, their ``np.linspace``
+    arguments; a grid past ``_GRID_MAX_BYTES`` is a MemoryError."""
+    axes = []
+    for (lo, hi, steps), name in zip((x_range, y_range), names):
+        if not (math.isfinite(steps) and steps == int(steps) and steps >= 2):
+            raise ValueError(f"{name} must request a whole number of at least 2 steps, got {steps!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise ValueError(f"{name} must have finite bounds with hi > lo")
+        axes.append((float(lo), float(hi), int(steps)))
+    size = 16 * axes[0][2] * axes[1][2]
+    if size > _GRID_MAX_BYTES:
+        raise MemoryError(f"Unable to allocate {size} bytes for a {axes[0][2]} x {axes[1][2]} "
+                          f"grid's coordinates; the limit is {_GRID_MAX_BYTES} bytes")
+    return axes

@@ -410,8 +410,7 @@ def _cmd_contour(args) -> None:
         x_lo, x_hi, x_steps, y_lo, y_hi, y_steps = args.grid.split(",")
         x_range = (float(x_lo), float(x_hi), int(x_steps))
         y_range = (float(y_lo), float(y_hi), int(y_steps))
-        _grid_range(x_range, "its x range")
-        _grid_range(y_range, "its y range")
+        _grid_range(x_range, y_range, ("its x range", "its y range"))
     except ValueError as exc:
         raise ConfigError(f"invalid --grid {args.grid!r}: {exc}")
     normalize_on, seed = _run_settings(args)

@@ -20,6 +20,7 @@ from christoffel_outliers import (
     default_sigma,
     feature_matrix,
     fit_kic,
+    gram_matrix,
     ic_scores,
     kic_score,
     kic_scores,
@@ -50,10 +51,25 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 # ---------------------------------------------------------------------------
 
 
+def _route(model) -> str:
+    """The route a polynomial fit took: "feature" when its s monomials number
+    at most its n rows, else "kernel"."""
+    return "kernel" if model.feature_map is None else "feature"
+
+
+def _route_report(worst: dict, cases: dict) -> tuple[bool, str]:
+    """Whether each route took at least 10 cases, and the worst error of each."""
+    return min(cases.values()) >= 10, ", ".join(
+        f"{route} route: {cases[route]} cases, worst rel {worst[route]:.2e}" for route in worst)
+
+
 def test_criterion_1_kernelization_exactness():
+    # Fits with more monomials than rows take the kernel route and the rest
+    # the feature route; each takes at least 10 of the 100 cases.
     rng = np.random.default_rng(101)
     start = time.perf_counter()
-    worst = 0.0
+    worst = {"feature": 0.0, "kernel": 0.0}
+    cases = {"feature": 0, "kernel": 0}
     for _ in range(100):
         n = int(rng.integers(2, 21))
         p = int(rng.integers(1, 5))
@@ -61,16 +77,19 @@ def test_criterion_1_kernelization_exactness():
         rho = float(10.0 ** rng.uniform(-4, 0))
         X = rng.normal(size=(n, p))
         x = rng.normal(size=p) * 1.5
-        kernel_value = kic_score(fit_kic(X, KernelSpec.polynomial(d), rho), x)
+        model = fit_kic(X, KernelSpec.polynomial(d), rho)
+        kernel_value = kic_score(model, x)
         explicit_value = explicit_phi(X, x, d, rho)
         rel = abs(kernel_value - explicit_value) / max(abs(explicit_value), 1e-300)
-        worst = max(worst, rel)
+        worst[_route(model)] = max(worst[_route(model)], rel)
+        cases[_route(model)] += 1
     elapsed = time.perf_counter() - start
+    both, detail = _route_report(worst, cases)
     _report(
         1,
         "kernelization exactness",
-        worst <= 1e-8 and elapsed < 5.0,
-        f"worst rel {worst:.2e}, {elapsed:.2f}s",
+        max(worst.values()) <= 1e-8 and both and elapsed < 5.0,
+        f"{detail}, {elapsed:.2f}s",
     )
 
 
@@ -80,19 +99,30 @@ def test_criterion_1_kernelization_exactness():
 
 
 def test_criterion_2_lower_bound_and_convergence():
+    # Even cases have more rows than monomials and take the feature route,
+    # odd ones fewer and take the kernel route. There M is singular, and
+    # q(x) = v^T M^+ v is finite only on the span of the training features;
+    # it is checked at training rows, where q = n [V V^+]_ii.
     rng = np.random.default_rng(102)
     start = time.perf_counter()
     bound_ok = True
-    gap_ok = True
-    worst_gap = 0.0
-    for _ in range(20):
-        p = int(rng.integers(1, 4))
-        d = int(rng.integers(1, 3))
-        s = math.comb(p + d, d)
-        n = s + int(rng.integers(5, 26))
-        X = rng.normal(size=(n, p))
-        queries = np.vstack([X[:3], rng.normal(size=(3, p)) * 1.5])
-        q = ic_scores(X, queries, d)
+    worst_gap = {"feature": 0.0, "kernel": 0.0}
+    cases = {"feature": 0, "kernel": 0}
+    for case in range(20):
+        if case % 2:
+            p, d = int(rng.integers(2, 4)), 2
+            n = int(rng.integers(3, math.comb(p + d, d)))
+            X = rng.normal(size=(n, p))
+            queries = X[:3]
+            V = feature_matrix(build_feature_map(p, d), X)
+            q = n * np.einsum("ij,ji->i", V[:3], np.linalg.pinv(V)[:, :3])
+        else:
+            p = int(rng.integers(1, 4))
+            d = int(rng.integers(1, 3))
+            n = math.comb(p + d, d) + int(rng.integers(5, 26))
+            X = rng.normal(size=(n, p))
+            queries = np.vstack([X[:3], rng.normal(size=(3, p)) * 1.5])
+            q = ic_scores(X, queries, d)
         kernel = KernelSpec.polynomial(d)
         for k in range(1, 7):
             rho = 10.0 ** (-k)
@@ -103,15 +133,15 @@ def test_criterion_2_lower_bound_and_convergence():
         model = fit_kic(X, kernel, 1e-8)
         bound8 = np.array([kic_score(model, row) for row in queries]) / 1e-8
         gap = float(np.max(np.abs(bound8 - q) / q))
-        worst_gap = max(worst_gap, gap)
-        if gap >= 1e-4:
-            gap_ok = False
+        worst_gap[_route(model)] = max(worst_gap[_route(model)], gap)
+        cases[_route(model)] += 1
     elapsed = time.perf_counter() - start
+    both, detail = _route_report(worst_gap, cases)
     _report(
         2,
         "lower bound and rho->0 convergence",
-        bound_ok and gap_ok and elapsed < 10.0,
-        f"worst gap at rho=1e-8: {worst_gap:.2e}, {elapsed:.2f}s",
+        bound_ok and max(worst_gap.values()) < 1e-4 and both and elapsed < 10.0,
+        f"gaps at rho=1e-8: {detail}, {elapsed:.2f}s",
     )
 
 
@@ -135,26 +165,31 @@ def _ridge_minimum(X: np.ndarray, x: np.ndarray, d: int, rho: float) -> float:
 
 
 def test_criterion_3_ridge_equivalence():
+    # As in criterion 1, each route takes at least 10 of the 50 cases.
     rng = np.random.default_rng(103)
     start = time.perf_counter()
-    worst = 0.0
+    worst = {"feature": 0.0, "kernel": 0.0}
+    cases = {"feature": 0, "kernel": 0}
     for _ in range(50):
-        n = int(rng.integers(2, 51))
+        n = int(rng.integers(2, 21))
         p = int(rng.integers(1, 4))
         d = int(rng.integers(1, 4))
         rho = float(10.0 ** rng.uniform(-3, 0))
         X = rng.normal(size=(n, p))
         x = rng.normal(size=p) * 1.5
-        score = kic_score(fit_kic(X, KernelSpec.polynomial(d), rho), x)
+        model = fit_kic(X, KernelSpec.polynomial(d), rho)
+        score = kic_score(model, x)
         minimum = _ridge_minimum(X, x, d, rho)
         rel = abs(score - minimum) / max(abs(minimum), 1e-300)
-        worst = max(worst, rel)
+        worst[_route(model)] = max(worst[_route(model)], rel)
+        cases[_route(model)] += 1
     elapsed = time.perf_counter() - start
+    both, detail = _route_report(worst, cases)
     _report(
         3,
         "kernelized score equals the explicit ridge minimum",
-        worst <= 1e-6 and elapsed < 5.0,
-        f"worst rel {worst:.2e}, {elapsed:.2f}s",
+        max(worst.values()) <= 1e-6 and both and elapsed < 5.0,
+        f"{detail}, {elapsed:.2f}s",
     )
 
 
@@ -467,15 +502,18 @@ def test_criterion_10_training_scores_match_leverage_identity(p, family):
     # With A = rho I + G/n = L L^T and a_ii = [A^-1]_ii, a training row scores
     # exactly n rho (1 - rho a_ii) (Pauwels, Bach & Vert, NeurIPS 2018), and
     # a_ii is the squared norm of column i of L^-1: an oracle that shares no
-    # kernel row, trsv or dot product with kic_scores.
+    # kernel row, feature, factor, trsv or dot product with kic_scores.
     X = normalize(synth_gaussian(dimension=p, seed=0)).values
     kernel = KernelSpec.polynomial(2) if family == "poly" else KernelSpec.rbf(math.sqrt(p) / 2.0)
     start = time.perf_counter()
     model = fit_kic(X, kernel, C=500.0)
     scores = kic_scores(model, model.training)
-    inverse, info = dtrtri(model.factorization.lower, lower=1)
-    assert info == 0
     n, rho = model.n, model.rho
+    # The test's own factor of rho I + G/n: a polynomial fit with p = 2 or 20
+    # takes the feature route, whose factor is of rho I + M.
+    A = gram_matrix(kernel, X) / n + rho * np.eye(n)
+    inverse, info = dtrtri(np.linalg.cholesky(A), lower=1)
+    assert info == 0
     identity = n * rho * (1.0 - rho * np.einsum("ki,ki->i", inverse, inverse))
     worst = float(np.max(np.abs(scores - identity) / np.abs(identity)))
     elapsed = time.perf_counter() - start

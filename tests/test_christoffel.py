@@ -288,7 +288,8 @@ def test_default_rho_matches_two_step_computation():
     G = rng.normal(size=(10, 10))
     G = G @ G.T
     assert default_rho(G, 500.0) == frobenius_norm(G) / (500.0 * math.sqrt(10))
-    X = rng.normal(size=(10, 3))
+    # 15 monomials of degree 2 in 4 features outnumber the 10 rows: the kernel route.
+    X = rng.normal(size=(10, 4))
     kernel = KernelSpec.polynomial(2)
     assert fit_kic(X, kernel, C=200.0).rho == default_rho(gram_matrix(kernel, X) / 10, 200.0)
 
@@ -333,11 +334,12 @@ def test_fit_rejects_an_overflowing_rbf_gram():
 
 
 def test_fit_reconstruction():
+    # 5 rows, fewer than the 6 monomials of degree 2 in 2 features: the kernel route.
     rng = np.random.default_rng(5)
-    X = rng.normal(size=(8, 2))
+    X = rng.normal(size=(5, 2))
     rho = 0.01
     model = fit_kic(X, KernelSpec.polynomial(2), rho)
-    A = gram_matrix(KernelSpec.polynomial(2), X) / 8 + rho * np.eye(8)
+    A = gram_matrix(KernelSpec.polynomial(2), X) / 5 + rho * np.eye(5)
     recon = model.factorization.lower @ model.factorization.lower.T
     assert np.linalg.norm(recon - A, "fro") / np.linalg.norm(A, "fro") <= 1e-10
 
@@ -390,18 +392,19 @@ def test_kic_score_rejects_a_bad_query(x, message):
         kic_score(model, x)
 
 
-@pytest.mark.parametrize("kernel", [KernelSpec.polynomial(2), KernelSpec.polynomial(3)])
-def test_kic_score_rejects_an_overflowing_kernel_row(monkeypatch, kernel):
+def _reject_overflowing_row(monkeypatch, model):
+    """A row whose kernel row or features overflow fails in kic_score, and in
+    kic_scores both serially and split."""
     rng = np.random.default_rng(7)
-    model = fit_kic(rng.normal(size=(20, 2)), kernel, 0.05)
+    p = model.p
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="rhs contains non-finite values"):
-        kic_score(model, np.full(2, 1e200))
+        kic_score(model, np.full(p, 1e200))
     # The same row mid-block in a batch of 64-row blocks: row 100 of 129 sits
     # 36 rows into the second block of the serial loop and of the second of
     # two chunks.
-    Q = rng.normal(size=(129, 2))
+    Q = rng.normal(size=(129, p))
     Q[100] = 1e200
-    monkeypatch.setattr(christoffel, "_BLOCK_VALUES", 64 * model.n)
+    monkeypatch.setattr(christoffel, "_BLOCK_VALUES", 64 * model.factorization.n)
     threads = _record_split(monkeypatch)
     for split in (False, True):
         if split:
@@ -411,6 +414,23 @@ def test_kic_score_rejects_an_overflowing_kernel_row(monkeypatch, kernel):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="rhs contains non-finite values"):
             kic_scores(model, Q)
         assert len(set(threads)) == 1 + split and (threading.get_ident() in threads) is not split
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec.polynomial(2), KernelSpec.polynomial(3)])
+def test_kic_score_rejects_an_overflowing_kernel_row(monkeypatch, kernel):
+    # Degree 2 in 5 features has 21 monomials, degree 3 has 56: more than
+    # the 20 rows, so the fit takes the kernel route.
+    model = fit_kic(np.random.default_rng(7).normal(size=(20, 5)), kernel, 0.05)
+    assert model.feature_map is None
+    _reject_overflowing_row(monkeypatch, model)
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec.polynomial(2), KernelSpec.polynomial(3)])
+def test_feature_route_rejects_an_overflowing_feature_row(monkeypatch, kernel):
+    # v(x) of a row near 1e200 overflows as its kernel row does, and fails the same way.
+    model = fit_kic(np.random.default_rng(7).normal(size=(20, 2)), kernel, 0.05)
+    assert model.feature_map is not None
+    _reject_overflowing_row(monkeypatch, model)
 
 
 def test_kic_score_makes_one_solve_on_the_calling_thread(monkeypatch):
@@ -432,9 +452,11 @@ def test_kic_score_makes_one_solve_on_the_calling_thread(monkeypatch):
 def test_clamped_rows_score_zero_and_warn_only_past_the_tolerance(monkeypatch, excess, warns):
     # Force each unclamped value to -excess * _CLAMP_WARN_TOL * gamma: both
     # entry points clamp it to 0.0, and warn once per row only past the tolerance.
+    # The 21 monomials of degree 2 in 5 features outnumber the 20 rows, so
+    # the fit takes the kernel route, the one that clamps.
     rng = np.random.default_rng(29)
-    model = fit_kic(rng.normal(size=(20, 2)), KernelSpec.polynomial(2), 0.05)
-    Q = rng.normal(size=(3, 2))
+    model = fit_kic(rng.normal(size=(20, 5)), KernelSpec.polynomial(2), 0.05)
+    Q = rng.normal(size=(3, 5))
 
     def negative(factorization, g, gamma):
         return -excess * linalg._CLAMP_WARN_TOL * gamma
@@ -583,8 +605,10 @@ def _record_split(monkeypatch, workers=2):
 
 
 def _split_case(kernel, rho, n=None):
+    # A polynomial fit takes the kernel route, whose n x n factor is the one
+    # that splits: its 30 features have more monomials than the fit has rows.
     rng = np.random.default_rng(41)
-    X = rng.normal(size=(n or christoffel._SPLIT_MIN_N, 3))
+    X = rng.normal(size=(n or christoffel._SPLIT_MIN_N, 3 if kernel.family == "rbf" else 30))
     return fit_kic(X, kernel, rho), rng.normal(size=(256, X.shape[1])) * 2.0
 
 
@@ -761,6 +785,94 @@ def test_kic2_excludes_far_outlier_from_refit():
     assert len(keep) == 6
     final = kic2_scores(X, kernel, C, alpha=0.6)
     assert np.argmax(final) == 9
+
+
+# ---------------------------------------------------------------------------
+# the feature route: polynomial fits with binomial(p + d, d) <= n
+# ---------------------------------------------------------------------------
+
+
+def _feature_case(p, n=300, d=2):
+    rng = np.random.default_rng(43)
+    X = rng.normal(size=(n, p))
+    model = fit_kic(X, KernelSpec.polynomial(d), C=500.0)
+    assert model.feature_map is not None
+    assert model.factorization.n == math.comb(p + d, d)
+    return model, rng.normal(size=(129, p)) * 1.5
+
+
+def test_feature_route_builds_no_gram_and_takes_rho_from_the_moment_matrix(monkeypatch):
+    # ||G/n||_F = ||M||_F, so the C rule reads the s x s moment matrix and
+    # gives the rho of the n x n Gram; no n x n array is built.
+    X = np.random.default_rng(44).normal(size=(200, 3))
+    kernel = KernelSpec.polynomial(2)
+    expected = default_rho(gram_matrix(kernel, X) / 200, 300.0)
+
+    def refused(*args):
+        raise AssertionError("a Gram matrix was built")
+
+    monkeypatch.setattr(christoffel, "gram_matrix", refused)
+    model = fit_kic(X, kernel, C=300.0)
+    assert model.factorization.n == 10
+    assert np.array_equal(model.feature_map.exponents, build_feature_map(3, 2).exponents)
+    assert model.rho == pytest.approx(expected, rel=1e-13)
+    V = feature_matrix(model.feature_map, X)
+    M = V.T @ V / 200 + model.rho * np.eye(10)
+    recon = model.factorization.lower @ model.factorization.lower.T
+    assert np.linalg.norm(recon - M, "fro") / np.linalg.norm(M, "fro") <= 1e-14
+
+
+@pytest.mark.parametrize("p", [2, 20])
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_feature_route_batch_matches_per_point_scores(monkeypatch, p, split):
+    # Blocks of 64 rows, scored serially or in two chunks: every row is one
+    # s-sized trsv and keeps the bits of its one-row kic_score call.
+    model, Q = _feature_case(p)
+    Q = np.vstack([Q, model.training])
+    monkeypatch.setattr(christoffel, "_BLOCK_VALUES", 64 * model.factorization.n)
+    if split:
+        monkeypatch.setattr(christoffel, "_SPLIT_MIN_N", 1)
+        monkeypatch.setattr(christoffel, "_SPLIT_MIN_WORK", 0)
+    threads = _record_split(monkeypatch)
+    recorded, sizes = linalg._DTRSV, []
+
+    def sized(*args):
+        sizes.append(args[3].value)
+        return recorded(*args)
+
+    monkeypatch.setattr(linalg, "_DTRSV", sized)
+    batch = kic_scores(model, Q)
+    assert len(set(threads)) == 1 + split and (threading.get_ident() in threads) is not split
+    expected = np.array([kic_score(model, q) for q in Q])
+    assert sizes == [model.factorization.n] * (2 * len(Q))
+    assert batch.tobytes() == expected.tobytes()
+    assert np.all(batch > 0.0)
+
+
+@pytest.mark.parametrize("duplicate", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_feature_route_model_copies_score_with_the_originals_bits(duplicate):
+    model, Q = _feature_case(20)
+    expected = [kic_score(model, Q[0]), kic_scores(model, Q).tobytes()]
+    clone = duplicate(model)
+    del model
+    gc.collect()
+    assert clone.feature_map is not None
+    assert [kic_score(clone, Q[0]), kic_scores(clone, Q).tobytes()] == expected
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 20])
+def test_feature_route_matches_a_dense_kernel_reference(p):
+    # rho v^T (rho I + M)^-1 v equals gamma - g^T (rho I + G/n)^-1 g; the
+    # reference solves the n x n system densely from kernel values.
+    model, Q = _feature_case(p)
+    X, n, rho = model.training, model.n, model.rho
+    Q = np.vstack([Q, X[:50]])
+    K = (1.0 + X @ Q.T) ** 2 / math.sqrt(n)
+    S = np.linalg.solve((1.0 + X @ X.T) ** 2 / n + rho * np.eye(n), K)
+    reference = (1.0 + np.einsum("ij,ij->i", Q, Q)) ** 2 - np.einsum("ij,ij->j", K, S)
+    scores = kic_scores(model, Q)
+    assert np.max(np.abs(scores - reference) / reference) <= 1e-9
 
 
 def test_kic2_rejects_bad_alpha():

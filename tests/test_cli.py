@@ -69,12 +69,13 @@ def _write_line_dataset(tmp_path):
     return path
 
 
-def _write_blobs(tmp_path, n_inlier=40, n_outlier=8, p=3, seed=0):
+def _write_blobs(tmp_path, n_inlier=40, n_outlier=8, p=3, seed=0, repeats=1):
+    """Blob rows, each written ``repeats`` times in a row."""
     rng = np.random.default_rng(seed)
     inliers = rng.normal(size=(n_inlier, p))
     outliers = rng.uniform(-8.0, 8.0, size=(n_outlier, p)) + 10.0
-    values = np.vstack([inliers, outliers])
-    labels = np.concatenate([np.zeros(n_inlier, int), np.ones(n_outlier, int)])
+    values = np.repeat(np.vstack([inliers, outliers]), repeats, axis=0)
+    labels = np.repeat(np.concatenate([np.zeros(n_inlier, int), np.ones(n_outlier, int)]), repeats)
     path = tmp_path / f"blobs{seed}.csv"
     header = ",".join(f"f{j}" for j in range(p)) + ",outlier"
     lines = [header]
@@ -169,18 +170,23 @@ def test_score_huge_rho_runs_without_warning(tmp_path):
     assert len(scores) == 48
 
 
-@pytest.mark.parametrize("flags, message", [
-    # Degree-2 features of 3 columns span at most 10 dimensions, so G/n has
-    # rank 10 of 48 and rho = 1e-300 leaves rho I + G/n singular.
-    (["--rho", "1e-300"], r"not positive definite at rho = 1e-300 \(\|\|G/n\|\|_F = "),
+# 48 rows, each of 6 distinct rows written 8 times: the 10 monomials of
+# degree 2 in 3 columns number at most 48, so KIC takes the feature route,
+# and M has rank 6 of 10, so rho = 1e-300 leaves rho I + M, and with it
+# rho I + G/n, singular.
+_SIX_DISTINCT = {"n_inlier": 4, "n_outlier": 2, "repeats": 8}
+
+
+@pytest.mark.parametrize("flags, blobs, message", [
+    (["--rho", "1e-300"], _SIX_DISTINCT, r"not positive definite at rho = 1e-300 \(\|\|G/n\|\|_F = "),
     # The C rule underflows to rho = 0 and overflows to rho = inf.
-    (["--C", "1e308"], r"rho = 0 \(from C = 1e\+308\)"),
-    (["--C", "1e-310"], r"rho = inf \(from C = 1e-310\)"),
+    (["--C", "1e308"], {}, r"rho = 0 \(from C = 1e\+308\)"),
+    (["--C", "1e-310"], {}, r"rho = inf \(from C = 1e-310\)"),
 ], ids=["rho-1e-300", "C-1e308", "C-1e-310"])
-def test_score_fails_naming_the_rho_it_cannot_use(tmp_path, capsys, flags, message):
+def test_score_fails_naming_the_rho_it_cannot_use(tmp_path, capsys, flags, blobs, message):
     # No fit is perturbed into passing at another rho: the run fails and
     # names rho, and writes no file.
-    data = _write_blobs(tmp_path, seed=4)
+    data = _write_blobs(tmp_path, seed=4, **blobs)
     out = tmp_path / "scores.csv"
     code = main(["score", "--method", "KIC", *flags, "--input", str(data),
                  "--label-column", "outlier", "--output", str(out)])
@@ -244,7 +250,9 @@ def test_kic_commands_build_one_gram(tmp_path, monkeypatch, command):
     # The CLI must not build a Gram of its own next to the one fit_kic builds.
     monkeypatch.setattr(christoffel, "gram_matrix", counted)
     monkeypatch.setattr(cli, "gram_matrix", counted, raising=False)
-    data = _write_blobs(tmp_path, p=2)
+    # KIC on 10 features has 66 monomials, more than the 48 rows, so it
+    # takes the kernel route; contour needs 2 features.
+    data = _write_blobs(tmp_path, p=2 if command[0] == "contour" else 10)
     code = main([*command, "--input", str(data), "--label-column", "outlier",
                  "--output", str(tmp_path / "out.csv")])
     assert code == EXIT_OK
@@ -429,11 +437,12 @@ def test_ic_on_a_variety_fails_score_and_costs_bench_its_cell(tmp_path, capsys):
     assert cells[(str(path), "KNN")] is not None
 
 
-@pytest.mark.parametrize("flags", [["--rho", "1e-300"], ["--C", "1e308"], ["--C", "1e-310"]],
+@pytest.mark.parametrize("flags, blobs", [(["--rho", "1e-300"], _SIX_DISTINCT),
+                                          (["--C", "1e308"], {}), (["--C", "1e-310"], {})],
                          ids=["rho-1e-300", "C-1e308", "C-1e-310"])
-def test_bench_marks_a_fit_at_an_unusable_rho_with_dash(tmp_path, flags):
+def test_bench_marks_a_fit_at_an_unusable_rho_with_dash(tmp_path, flags, blobs):
     # The rho that makes `score` exit 3 costs bench one cell, not the table.
-    data = _write_blobs(tmp_path, seed=4)
+    data = _write_blobs(tmp_path, seed=4, **blobs)
     out = tmp_path / "bench.csv"
     code = main(["bench", "--method", "KIC,KNN", *flags, "--input", str(data),
                  "--label-column", "outlier", "--output", str(out)])
@@ -548,9 +557,9 @@ def test_plain_value_error_from_a_method_fails_bench(tmp_path, monkeypatch, caps
     ["score", "--method", "KSP", "--sample-size", "1000000000000000"],
 ], ids=["contour-grid", "score-ksp-sample"])
 def test_request_too_large_to_allocate_is_numerical_error(tmp_path, capsys, command):
-    # 10^15 grid steps or sample rows need 7.1 PiB, more than a 64-bit Linux
-    # process can address, so the allocation fails at once whatever the
-    # overcommit setting.
+    # 10^15 grid steps or sample rows need 7.1 PiB or more, more than a
+    # 64-bit Linux process can address: the grid fails the grid cap, and the
+    # sample's allocation fails at once whatever the overcommit setting.
     out = tmp_path / "out.csv"
     code = main([*command, "--input", str(_write_2d(tmp_path)), "--output", str(out)])
     assert code == EXIT_NUMERIC
@@ -559,14 +568,25 @@ def test_request_too_large_to_allocate_is_numerical_error(tmp_path, capsys, comm
 
 
 def test_grid_beyond_array_size_limit_is_numerical_error(tmp_path, capsys):
-    # 10^19 steps pass the grid checks, as 10^15 do, and numpy refuses the
-    # axis when it is built: the same exit code as an allocation failure.
+    # 10^19 steps, past what numpy can build as an axis, fail the grid cap
+    # as 10^15 do: the same exit code as an allocation failure.
     out = tmp_path / "out.csv"
     code = main(["contour", "--method", "KIC", "--grid=-1,1,10000000000000000000,-1,1,3",
                  "--input", str(_write_2d(tmp_path)), "--output", str(out)])
     assert code == EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("numerical error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", ["1000000000000000", "10000000000000000000"])
+def test_oversize_grid_fails_before_the_input_is_read(tmp_path, capsys, steps):
+    # Past the grid cap the run exits 3 before it looks for the input.
+    before = set(tmp_path.iterdir())
+    code = main(["contour", "--method", "KIC", f"--grid=-1,1,{steps},-1,1,3",
+                 "--input", str(tmp_path / "none.csv"), "--output", str(tmp_path / "g.csv")])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numerical error: Unable to allocate ")
+    assert set(tmp_path.iterdir()) == before
 
 
 def test_contour_checks_grid_without_building_it(tmp_path):
@@ -986,5 +1006,19 @@ def test_score_output_does_not_depend_on_cpu_count(tmp_path):
         subprocess.run([sys.executable, "-c", probe, mask, "score", "--method", "KIC-RBF",
                         "--input", str(data), "--output", str(out)],
                        env=env, check=True, capture_output=True, timeout=300)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    # KIC on 500 rows of 2 features takes the feature route, whose 6 x 6
+    # factor and 6-long solves give the same bytes under two BLAS threads.
+    plane = tmp_path / "plane.csv"
+    plane.write_text("\n".join(",".join(repr(float(v)) for v in row)
+                               for row in rng.normal(size=(500, 2))) + "\n")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"plane{threads}.csv"
+        subprocess.run([sys.executable, "-c", probe, "all", "score", "--method", "KIC",
+                        "--input", str(plane), "--output", str(out)],
+                       env={**env, "OPENBLAS_NUM_THREADS": threads},
+                       check=True, capture_output=True, timeout=300)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
