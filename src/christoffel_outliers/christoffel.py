@@ -22,8 +22,8 @@ its n x s features V, so with M = V^T V / n (built as the explicit route
 builds it) exactly phi(rho) = rho v(x)^T (rho I + M)^{-1} v(x), the
 regularized Christoffel function, and ||G||_F = ||M||_F gives the C rule's
 rho. It factors the s x s rho I + M and solves s-long systems. Its scores are
-never negative, so the kernel route's zero clamp never fires on it; and at a
-tiny rho a full-rank rho I + M factors where rho I + G (rank s < n) fails.
+squared norms times rho, never negative; and at a tiny rho a full-rank
+rho I + M factors where rho I + G (rank s < n) fails.
 
 Default hyperparameter rules and the two-stage filtered variant live here
 as well.
@@ -46,7 +46,6 @@ from .kernels import KernelSpec, _kernel_row, _kernel_rows, _row_basis, gram_mat
 from .linalg import (
     NotPositiveDefiniteError,
     SpdFactorization,
-    _clamp_objective,
     _forward,
     _objective,
     _objectives,
@@ -165,10 +164,12 @@ def build_feature_map(
     """Construct the scaled monomial basis for p features and degree d.
 
     Raises:
+        ValueError: if p or d is not a positive integer (2.0 counts as 2).
         FeatureDimensionError: if binomial(p + d, d) exceeds ``dim_limit``.
     """
-    if p < 1 or d < 1:
+    if not (p >= 1 and d >= 1 and p % 1 == 0 and d % 1 == 0):
         raise ValueError("p and d must be positive integers")
+    p, d = int(p), int(d)
     s = math.comb(p + d, d)
     if s > dim_limit:
         raise FeatureDimensionError(
@@ -271,9 +272,12 @@ def ic_scores(
 
     M = L L^T is factorized as it is; each score is ||L^{-1} v(x)||^2, from
     one forward substitution for all queries. When ``queries is X`` the rows
-    are mapped to features once, for M and for the substitution.
+    are mapped to features once, for M and for the substitution. Unlike
+    ``kic_scores``, a score's last bits depend on the rows that share that
+    solve: one trsv per row, which would fix them, took 3.7-5.0x as long.
 
     Raises:
+        ValueError: if d is not a positive integer (2.0 counts as 2).
         FeatureDimensionError: if the monomial basis exceeds ``dim_limit``.
         MomentMatrixError: if M overflows or is singular, as with fewer distinct
             rows than monomials.
@@ -342,7 +346,7 @@ def fit_kic(
     """
     X = as_matrix(X)
     n, p = X.shape
-    d = kernel.degree and int(kernel.degree)  # None for RBF
+    d = kernel.degree  # None for RBF
     fm = build_feature_map(p, d, dim_limit=n) if d and math.comb(p + d, d) <= n else None
     if fm is not None:
         A = _moment_matrix(fm, X)[1]
@@ -379,10 +383,10 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     """Kernelized scores phi(rho) = gamma - g^T (rho I + G)^{-1} g, one per row of Q.
 
     g is scaled by 1/sqrt(n), G by 1/n and gamma is the raw self-kernel; with
-    the stored factor L L^T = rho I + G each value is gamma - ||L^{-1} g||^2,
-    clamped at zero in row order on the calling thread. On the feature route
-    L L^T = rho I + M, and each value is rho ||L^{-1} v(x)||^2, -rho times
-    that objective at gamma = 0, unclamped.
+    the stored factor L L^T = rho I + G each value is gamma - ||L^{-1} g||^2 as
+    computed, which rounding can put a little below zero at a tiny rho. On the
+    feature route L L^T = rho I + M, and each value is rho ||L^{-1} v(x)||^2,
+    -rho times that objective at gamma = 0.
 
     Each row gets its own right-hand side, trsv and dot product, which a
     batched solve would round by the row's place in the block, so a score
@@ -397,12 +401,11 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     m = Q.shape[0]
     size = model.factorization.n
     values = np.empty(m)
-    gammas = np.empty(m)
     workers = 1
     if size >= _SPLIT_MIN_N and m * size**2 >= _SPLIT_MIN_WORK:
         workers = min(_cpu_count(), m)
     if workers < 2:
-        _score_rows(model, Q, values, gammas, 0, m)
+        _score_rows(model, Q, values, 0, m)
     else:
         bounds = [m * k // workers for k in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -410,7 +413,7 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
             futures = [
                 pool.submit(
                     contextvars.copy_context().run,
-                    _score_rows, model, Q, values, gammas, start, stop,
+                    _score_rows, model, Q, values, start, stop,
                 )
                 for start, stop in zip(bounds, bounds[1:])
             ]
@@ -418,28 +421,22 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
                 future.result()
     if model.feature_map is not None:
         return values * -model.rho
-    return np.fromiter(map(_clamp_objective, values.tolist(), gammas.tolist()), float, count=m)
+    return values
 
 
 def _score_rows(
-    model: ChristoffelModel,
-    Q: np.ndarray,
-    values: np.ndarray,
-    gammas: np.ndarray,
-    start: int,
-    stop: int,
+    model: ChristoffelModel, Q: np.ndarray, values: np.ndarray, start: int, stop: int
 ) -> None:
-    """Write the unclamped value and the self-kernel of rows start..stop-1 of
-    Q, in blocks of at most ``_BLOCK_VALUES`` kernel values or features (at
-    least one row): ``_rows`` once per block, then one trsv per row."""
+    """Write the objective value of rows start..stop-1 of Q, in blocks of at
+    most ``_BLOCK_VALUES`` kernel values or features (at least one row):
+    ``_rows`` once per block, then one trsv per row."""
     step = max(1, _BLOCK_VALUES // model.factorization.n)
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)
-        R, gammas[lo:hi] = _rows(model, Q[lo:hi])
         # The block form, not _objective per row: scoring a batch of 1000 rows
         # (`table`'s training rows, KIC2's second stage) took 5-26% longer row
         # by row at n=1000 and n=600.
-        values[lo:hi] = _objectives(model.factorization, R, gammas[lo:hi])
+        values[lo:hi] = _objectives(model.factorization, *_rows(model, Q[lo:hi]))
 
 
 def _rows(model: ChristoffelModel, Q: np.ndarray) -> tuple:
@@ -478,11 +475,10 @@ def kic_score(model: ChristoffelModel, x) -> float:
     """
     x = as_vector(x, "x")
     _check_features(model, x.shape[0])
-    g, gamma = _rows(model, x)
-    value = _objective(model.factorization, g, gamma)
+    value = _objective(model.factorization, *_rows(model, x))
     if model.feature_map is not None:
         return -model.rho * value
-    return _clamp_objective(value, gamma)
+    return value
 
 
 def kic_scores_all(X, kernel: KernelSpec, rho: float) -> np.ndarray:

@@ -36,9 +36,9 @@ MAX_POLY_DEGREE = 64
 class KernelSpec:
     """A kernel family plus its single hyperparameter.
 
-    ``degree`` (d >= 1) applies to the polynomial family only and
-    ``lengthscale`` (sigma > 0) to the RBF family only. A spec fully
-    determines a symmetric positive-semidefinite kernel function.
+    ``degree`` (integral d >= 1, stored as an int) applies to the polynomial
+    family only and ``lengthscale`` (sigma > 0) to the RBF family only. A spec
+    fully determines a symmetric positive-semidefinite kernel function.
     """
 
     family: str
@@ -51,6 +51,7 @@ class KernelSpec:
                 raise ValueError("polynomial kernel requires an integer degree >= 1")
             if self.degree > MAX_POLY_DEGREE:
                 raise ValueError(f"polynomial degree is capped at {MAX_POLY_DEGREE}")
+            object.__setattr__(self, "degree", int(self.degree))
             if self.lengthscale is not None:
                 raise ValueError("lengthscale is an RBF parameter, not polynomial")
         elif self.family == RBF:

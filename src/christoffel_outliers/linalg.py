@@ -23,15 +23,11 @@ import importlib.util
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._validate import NumericalError
-
-# Relative slack below zero beyond which the objective clamp warns.
-_CLAMP_WARN_TOL = 1e-8
 
 
 class NotPositiveDefiniteError(NumericalError):
@@ -149,33 +145,19 @@ def _trtrs(factorization: SpdFactorization, x: np.ndarray, trans: bytes) -> np.n
     return x
 
 
-def _clamp_objective(value: float, gamma: float) -> float:
-    """The objective value, or 0 if it is negative.
-
-    A value below -_CLAMP_WARN_TOL * |gamma| is more than rounding, and it warns.
-    """
-    if value < -_CLAMP_WARN_TOL * abs(gamma):
-        warnings.warn(
-            f"ridge objective {value:.3e} clamped to 0 (gamma={gamma:.3e})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return 0.0 if value < 0.0 else value
-
-
 def ridge_objective_from_factor(factorization: SpdFactorization, g, gamma: float) -> float:
     """Optimal regularized distance gamma - g^T (rho I + G)^{-1} g from the factor.
 
     The factorization must be of (rho I + G). With L L^T = rho I + G and
     z = L^{-1} g the value is gamma - ||z||^2: one forward substitution,
-    on a copy of g. Clamped at zero.
+    on a copy of g, returned as computed, even a rounding error below zero.
     """
     g = np.array(g, dtype=np.float64)
-    return float(_clamp_objective(_objective(factorization, g, gamma), gamma))
+    return float(_objective(factorization, g, gamma))
 
 
 def _objective(factorization: SpdFactorization, g: np.ndarray, gamma: float) -> float:
-    """``ridge_objective_from_factor`` before the clamp; g is overwritten by z = L^{-1} g.
+    """``ridge_objective_from_factor`` on g itself, which is overwritten by z = L^{-1} g.
 
     BLAS trsv solves in place in g, reading L^T, the F-ordered view of the
     stored factor: no copy, and none of ``solve_triangular``'s argument

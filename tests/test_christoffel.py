@@ -104,6 +104,15 @@ def test_feature_map_dimension_limit():
     assert math.comb(786, 2) == 308505
 
 
+def test_integral_float_degree_is_the_integer_degree():
+    # A degree of 2.0 builds the map and the scores of degree 2.
+    X = np.random.default_rng(31).normal(size=(40, 2))
+    fm = build_feature_map(2, 2.0)
+    assert type(fm.degree) is int
+    assert fm.coefficients.tobytes() == build_feature_map(2, 2).coefficients.tobytes()
+    assert ic_scores(X, X, 2.0).tobytes() == ic_scores(X, X, 2).tobytes()
+
+
 def test_feature_matrix_matches_power_reference():
     # The library skips the x ** 0 factors of the reference product. Each
     # entry takes at most d + 1 roundings on either side, so a change in
@@ -448,33 +457,45 @@ def test_kic_score_makes_one_solve_on_the_calling_thread(monkeypatch):
     assert threads == [threading.get_ident()]
 
 
-@pytest.mark.parametrize("excess, warns", [(0.5, False), (2.0, True)], ids=["silent", "warned"])
-def test_clamped_rows_score_zero_and_warn_only_past_the_tolerance(monkeypatch, excess, warns):
-    # Force each unclamped value to -excess * _CLAMP_WARN_TOL * gamma: both
-    # entry points clamp it to 0.0, and warn once per row only past the tolerance.
-    # The 21 monomials of degree 2 in 5 features outnumber the 20 rows, so
-    # the fit takes the kernel route, the one that clamps.
+def test_negative_kernel_route_values_are_returned_as_computed(monkeypatch):
+    # Force every kernel-route value to -1e-3: both entry points return it
+    # unchanged, with no warning. The 21 monomials of degree 2 in 5 features
+    # outnumber the 20 rows, so the fit takes the kernel route.
     rng = np.random.default_rng(29)
     model = fit_kic(rng.normal(size=(20, 5)), KernelSpec.polynomial(2), 0.05)
+    assert model.feature_map is None
     Q = rng.normal(size=(3, 5))
 
     def negative(factorization, g, gamma):
-        return -excess * linalg._CLAMP_WARN_TOL * gamma
+        return gamma * 0.0 - 1e-3
 
     # kic_score takes the per-row objective and kic_scores the block one;
     # the stub works on one gamma and on a block's gammas alike.
     monkeypatch.setattr(christoffel, "_objective", negative)
     monkeypatch.setattr(christoffel, "_objectives", negative)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         single = kic_score(model, Q[0])
         batch = kic_scores(model, Q)
-    assert type(single) is float and single == 0.0
-    assert batch.tolist() == [0.0, 0.0, 0.0]
-    assert len(caught) == (4 if warns else 0)
-    for record in caught:
-        assert record.category is RuntimeWarning
-        assert re.match(r"ridge objective -\S+ clamped to 0 \(gamma=", str(record.message))
+    assert type(single) is float and single == -1e-3
+    assert batch.tolist() == [-1e-3, -1e-3, -1e-3]
+
+
+def test_tiny_rho_kernel_route_keeps_its_negative_values():
+    # At rho = 1e-15 a training row's exact score n rho (1 - rho a_jj) is
+    # about 2e-14, below the rounding error of gamma - ||z||^2, so some
+    # computed values fall below zero. They are returned as computed, with no
+    # warning, and the batch equals per-point kic_score bit for bit.
+    X = np.random.default_rng(29).normal(size=(20, 5))
+    model = fit_kic(X, KernelSpec.polynomial(2), 1e-15)
+    assert model.feature_map is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = kic_scores(model, X)
+        single = np.array([kic_score(model, x) for x in X])
+    assert (batch < 0.0).any()
+    assert np.abs(batch).max() < 1e-12
+    assert batch.tobytes() == single.tobytes()
 
 
 def test_kic_score_monotone_in_rho():
@@ -999,8 +1020,8 @@ def test_rbf_is_exact_far_from_the_origin(offset):
 )
 def test_training_scores_match_ridge_leverage(kernel, p):
     # For a training row, phi_j = n rho (1 - rho [(G/n + rho I)^-1]_jj), the
-    # ridge leverage: a second derivation of the scores that neither forms
-    # gamma - ||z||^2 nor clamps.
+    # ridge leverage: a second derivation of the scores that does not form
+    # gamma - ||z||^2.
     rng = np.random.default_rng(27)
     n = 300
     X = rng.normal(size=(n, p))

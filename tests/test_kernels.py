@@ -20,6 +20,9 @@ def test_polynomial_spec_requires_degree():
         KernelSpec.polynomial(0)
     with pytest.raises(ValueError):
         KernelSpec.polynomial(MAX_POLY_DEGREE + 1)
+    with pytest.raises(ValueError):
+        KernelSpec.polynomial(2.5)
+    assert type(KernelSpec.polynomial(2.0).degree) is int
 
 
 def test_rbf_spec_requires_positive_lengthscale():

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -290,11 +291,13 @@ def test_fit_on_singular_kernel_system_fails_naming_rho():
         fit_kic(X, KernelSpec.rbf(1.0), 1e-20)
 
 
-def test_objective_clamped_at_zero_with_warning():
-    # A negative gamma puts the minimum gamma - 1/2 below zero.
-    with pytest.warns(RuntimeWarning, match="clamped to 0"):
-        value = _factor_objective(np.eye(2), np.array([1.0, 0.0]), -1.0, 1.0)
-    assert value == 0.0
+def test_negative_objective_is_returned_as_computed():
+    # L = 2 I and z = (1, 0), so a negative gamma puts the minimum
+    # gamma - 1 below zero, exactly: it comes back unchanged, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = _factor_objective(3.0 * np.eye(2), np.array([2.0, 0.0]), -1.0, 1.0)
+    assert type(value) is float and value == -2.0
 
 
 @pytest.mark.parametrize("n", [1, 7, 500])
@@ -331,7 +334,7 @@ def test_block_objective_checks_its_block_and_raises_like_the_per_row_one():
     with pytest.raises(ValueError, match="rhs contains non-finite values"):
         linalg._objectives(F, G, np.ones(3))
     # A ||z||^2 that overflows from a finite z does not: its value is -inf,
-    # for the clamp to handle, as for that row alone.
+    # as for that row alone.
     G = np.ones((2, 3))
     G[1] = 1e200
     with np.errstate(over="ignore"):
