@@ -457,17 +457,19 @@ def test_kic_score_makes_one_solve_on_the_calling_thread(monkeypatch):
     assert threads == [threading.get_ident()]
 
 
-def test_negative_kernel_route_values_are_returned_as_computed(monkeypatch):
-    # Force every kernel-route value to -1e-3: both entry points return it
-    # unchanged, with no warning. The 21 monomials of degree 2 in 5 features
-    # outnumber the 20 rows, so the fit takes the kernel route.
+@pytest.mark.parametrize("value", [-1e-14, -1e-3], ids=["rounding", "large"])
+def test_negative_kernel_route_values_are_returned_as_computed(monkeypatch, value):
+    # Force every kernel-route value to a negative one, of rounding size or
+    # far past it: both entry points return it unchanged, with no warning.
+    # The 21 monomials of degree 2 in 5 features outnumber the 20 rows, so
+    # the fit takes the kernel route.
     rng = np.random.default_rng(29)
     model = fit_kic(rng.normal(size=(20, 5)), KernelSpec.polynomial(2), 0.05)
     assert model.feature_map is None
     Q = rng.normal(size=(3, 5))
 
     def negative(factorization, g, gamma):
-        return gamma * 0.0 - 1e-3
+        return gamma * 0.0 + value
 
     # kic_score takes the per-row objective and kic_scores the block one;
     # the stub works on one gamma and on a block's gammas alike.
@@ -477,8 +479,8 @@ def test_negative_kernel_route_values_are_returned_as_computed(monkeypatch):
         warnings.simplefilter("error")
         single = kic_score(model, Q[0])
         batch = kic_scores(model, Q)
-    assert type(single) is float and single == -1e-3
-    assert batch.tolist() == [-1e-3, -1e-3, -1e-3]
+    assert type(single) is float and single == value
+    assert batch.tolist() == [value, value, value]
 
 
 def test_tiny_rho_kernel_route_keeps_its_negative_values():
