@@ -25,6 +25,10 @@ rho. It factors the s x s rho I + M and solves s-long systems. Its scores are
 squared norms times rho, never negative; and at a tiny rho a full-rank
 rho I + M factors where rho I + G (rank s < n) fails.
 
+All three routes score a batch through ``_batch_objectives``, one triangular
+solve per row; the explicit q(x), the rho -> 0 end of phi(rho) / rho, is minus
+the objective on the factor of M itself at v(x) and a zero self-kernel.
+
 Default hyperparameter rules and the two-stage filtered variant live here
 as well.
 """
@@ -46,7 +50,6 @@ from .kernels import KernelSpec, _kernel_row, _kernel_rows, _row_basis, gram_mat
 from .linalg import (
     NotPositiveDefiniteError,
     SpdFactorization,
-    _forward,
     _objective,
     _objectives,
     frobenius_norm,
@@ -231,8 +234,8 @@ def _features(monomials: tuple, Q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _moment_matrix(fm: FeatureMap, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The features V of the checked rows of X and M = V^T V / n, which must be finite."""
+def _moment_matrix(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
+    """M = V^T V / n for the features V of the checked rows of X; M must be finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         V = feature_matrix(fm, X)
         M = V.T @ V / X.shape[0]
@@ -241,7 +244,7 @@ def _moment_matrix(fm: FeatureMap, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
             f"moment matrix overflows double precision at degree {fm.degree}; "
             "use a lower degree or normalized data"
         )
-    return V, M
+    return M
 
 
 def _ic_scores_from_map(fm: FeatureMap, X: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -253,16 +256,15 @@ def _ic_scores_from_map(fm: FeatureMap, X: np.ndarray, queries: np.ndarray) -> n
             f"moment matrix not positive definite: {distinct} distinct rows, "
             f"fewer than the {fm.dimension} monomials of degree {fm.degree}"
         )
-    phi, M = _moment_matrix(fm, X)
     try:
-        factor = spd_factor(M)
+        factor = spd_factor(_moment_matrix(fm, X))
     except NotPositiveDefiniteError as exc:
         raise MomentMatrixError(
             "moment matrix not positive definite; the data may lie on a "
             f"degree-{fm.degree} variety (need more points or a lower degree)"
         ) from exc
-    Z = _forward(factor, (phi if queries is X else feature_matrix(fm, queries)).T)
-    return np.einsum("sm,sm->m", Z, Z)
+    basis = _monomials(fm)
+    return -_batch_objectives(factor, lambda block: (_features(basis, block), 0.0), queries)
 
 
 def ic_scores(
@@ -270,11 +272,9 @@ def ic_scores(
 ) -> np.ndarray:
     """Moment-matrix scores q(x) = v(x)^T M^{-1} v(x) for each query row.
 
-    M = L L^T is factorized as it is; each score is ||L^{-1} v(x)||^2, from
-    one forward substitution for all queries. When ``queries is X`` the rows
-    are mapped to features once, for M and for the substitution. Unlike
-    ``kic_scores``, a score's last bits depend on the rows that share that
-    solve: one trsv per row, which would fix them, took 3.7-5.0x as long.
+    M = L L^T is factorized as it is; each score is ||L^{-1} v(x)||^2 from the
+    batch routine of ``kic_scores``, so, as there, a score depends neither on
+    the batch nor on the CPU count.
 
     Raises:
         ValueError: if d is not a positive integer (2.0 counts as 2).
@@ -282,9 +282,8 @@ def ic_scores(
         MomentMatrixError: if M overflows or is singular, as with fewer distinct
             rows than monomials.
     """
-    same = queries is X
     X = as_matrix(X)
-    queries = X if same else as_matrix(queries, "queries")
+    queries = as_matrix(queries, "queries")
     if X.shape[1] != queries.shape[1]:
         raise ValueError("X and queries must have the same feature count")
     fm = build_feature_map(X.shape[1], d, dim_limit=dim_limit)
@@ -349,7 +348,7 @@ def fit_kic(
     d = kernel.degree  # None for RBF
     fm = build_feature_map(p, d, dim_limit=n) if d and math.comb(p + d, d) <= n else None
     if fm is not None:
-        A = _moment_matrix(fm, X)[1]
+        A = _moment_matrix(fm, X)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             A = gram_matrix(kernel, X)
@@ -388,55 +387,61 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     feature route L L^T = rho I + M, and each value is rho ||L^{-1} v(x)||^2,
     -rho times that objective at gamma = 0.
 
-    Each row gets its own right-hand side, trsv and dot product, which a
-    batched solve would round by the row's place in the block, so a score
-    depends neither on the batch nor on the CPU count, and equals
-    ``kic_score`` at its row. A batch of m rows on a factor of order
-    n >= ``_SPLIT_MIN_N`` with m n^2 >= ``_SPLIT_MIN_WORK`` is split into
-    contiguous chunks, one per CPU the process may run on, each scored by
-    ``_score_rows`` on its own thread while the solves release the GIL.
+    The rows are scored by ``_batch_objectives``, so a score depends neither
+    on the batch nor on the CPU count, and equals ``kic_score`` at its row.
     """
     Q = as_matrix(Q, "Q")
     _check_features(model, Q.shape[1])
-    m = Q.shape[0]
-    size = model.factorization.n
-    values = np.empty(m)
-    workers = 1
-    if size >= _SPLIT_MIN_N and m * size**2 >= _SPLIT_MIN_WORK:
-        workers = min(_cpu_count(), m)
-    if workers < 2:
-        _score_rows(model, Q, values, 0, m)
-    else:
-        bounds = [m * k // workers for k in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # A copied context carries the caller's np.errstate into the thread.
-            futures = [
-                pool.submit(
-                    contextvars.copy_context().run,
-                    _score_rows, model, Q, values, start, stop,
-                )
-                for start, stop in zip(bounds, bounds[1:])
-            ]
-            for future in futures:
-                future.result()
+    values = _batch_objectives(model.factorization, lambda block: _rows(model, block), Q)
     if model.feature_map is not None:
         return values * -model.rho
     return values
 
 
-def _score_rows(
-    model: ChristoffelModel, Q: np.ndarray, values: np.ndarray, start: int, stop: int
-) -> None:
+def _batch_objectives(factorization: SpdFactorization, rows, Q: np.ndarray) -> np.ndarray:
+    """gamma - ||L^{-1} g||^2 for each row of the checked Q, where ``rows(block)``
+    gives a block's right-hand sides g and self-kernels gamma.
+
+    Each row gets its own right-hand side, trsv and dot product, which a
+    batched solve would round by the row's place in the block, so a value
+    depends neither on the batch nor on the CPU count. A batch of m rows on a
+    factor of order n >= ``_SPLIT_MIN_N`` with m n^2 >= ``_SPLIT_MIN_WORK`` is
+    split into contiguous chunks, one per CPU the process may run on, each
+    scored by ``_score_rows`` on its own thread while the solves release the
+    GIL; ``rows`` runs there too, so it calls only private functions.
+    """
+    m = Q.shape[0]
+    size = factorization.n
+    values = np.empty(m)
+    workers = 1
+    if size >= _SPLIT_MIN_N and m * size**2 >= _SPLIT_MIN_WORK:
+        workers = min(_cpu_count(), m)
+    if workers < 2:
+        _score_rows(factorization, rows, Q, values, 0, m)
+    else:
+        bounds = [m * k // workers for k in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # A copied context carries the caller's np.errstate into the thread.
+            futures = [pool.submit(contextvars.copy_context().run, _score_rows,
+                                   factorization, rows, Q, values, start, stop)
+                       for start, stop in zip(bounds, bounds[1:])]
+            for future in futures:
+                future.result()
+    return values
+
+
+def _score_rows(factorization: SpdFactorization, rows, Q: np.ndarray, values: np.ndarray,
+                start: int, stop: int) -> None:
     """Write the objective value of rows start..stop-1 of Q, in blocks of at
     most ``_BLOCK_VALUES`` kernel values or features (at least one row):
-    ``_rows`` once per block, then one trsv per row."""
-    step = max(1, _BLOCK_VALUES // model.factorization.n)
+    ``rows`` once per block, then one trsv per row."""
+    step = max(1, _BLOCK_VALUES // factorization.n)
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)
         # The block form, not _objective per row: scoring a batch of 1000 rows
         # (`table`'s training rows, KIC2's second stage) took 5-26% longer row
         # by row at n=1000 and n=600.
-        values[lo:hi] = _objectives(model.factorization, *_rows(model, Q[lo:hi]))
+        values[lo:hi] = _objectives(factorization, *rows(Q[lo:hi]))
 
 
 def _rows(model: ChristoffelModel, Q: np.ndarray) -> tuple:

@@ -47,7 +47,7 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family == POLYNOMIAL:
-            if self.degree is None or int(self.degree) != self.degree or self.degree < 1:
+            if self.degree is None or not (self.degree >= 1 and self.degree % 1 == 0):
                 raise ValueError("polynomial kernel requires an integer degree >= 1")
             if self.degree > MAX_POLY_DEGREE:
                 raise ValueError(f"polynomial degree is capped at {MAX_POLY_DEGREE}")

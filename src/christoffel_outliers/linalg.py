@@ -12,7 +12,8 @@ BLAS triangular solve per vector, a ctypes call that works in place on g
 and releases the GIL, so threads scoring other vectors run meanwhile. BLAS
 dtrsv and LAPACK dtrtrs come from scipy's Cython modules, loaded without
 ``import scipy.linalg``, which would take half of the package's start-up;
-dtrtrs is called as ``scipy.linalg.solve_triangular`` calls it, so its bits stay.
+dtrtrs serves only ``spd_solve``, called as ``scipy.linalg.solve_triangular``
+calls it, so its bits stay.
 """
 
 from __future__ import annotations
@@ -102,46 +103,34 @@ def spd_factor(A) -> SpdFactorization:
         raise NotPositiveDefiniteError("not positive definite") from exc
 
 
-def _forward(factorization: SpdFactorization, b) -> np.ndarray:
-    """L^{-1} b by forward substitution on the stored factor L, F-ordered."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[0] != factorization.n:
-        raise ValueError(
-            f"dimension mismatch: factorization is {factorization.n}, rhs has shape {b.shape}"
-        )
-    if not np.all(np.isfinite(b)):
-        raise ValueError("rhs contains non-finite values")
-    # The factor was checked when built; only b is scanned. dtrtrs("U", "T")
-    # on the buffer of L is what solve_triangular(L, b, lower=True) runs.
-    return _trtrs(factorization, np.array(b, order="F"), b"T")
-
-
 def spd_solve(factorization: SpdFactorization, b) -> np.ndarray:
     """Solve A x = b from a prior factorization of A.
 
     ``b`` may be a vector or a matrix of stacked right-hand-side columns.
     """
-    # Triangular solves on the stored factor: cho_solve would copy it to
-    # Fortran order on every call. The second, L^T x = y, is dtrtrs("U", "N")
-    # in place in the F-ordered y: solve_triangular's call, on its own copy.
-    return _trtrs(factorization, _forward(factorization, b), b"N")
-
-
-def _trtrs(factorization: SpdFactorization, x: np.ndarray, trans: bytes) -> np.ndarray:
-    """Solve L^T z = x (trans b"N") or L z = x (b"T") in place in the F-ordered x.
-
-    dtrtrs reads the C-ordered L as the F-ordered L^T: the call, and so the
-    bits, of ``solve_triangular(L, x, lower=True)`` on an F-ordered copy of x.
-    """
+    b = np.asarray(b, dtype=float)
+    n = factorization.n
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"dimension mismatch: factorization is {n}, rhs has shape {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("rhs contains non-finite values")
+    # The factor was checked when built; only b is scanned. Two triangular
+    # solves on the stored factor, in place in an F-ordered copy x of b:
+    # cho_solve would copy the factor to Fortran order on every call. dtrtrs
+    # reads the C-ordered L as the F-ordered L^T, so L y = b is dtrtrs("U",
+    # "T") and L^T x = y is dtrtrs("U", "N"): the calls, and so the bits, of
+    # solve_triangular(L, b, lower=True) and then (L, y, lower=True, trans="T").
+    x = np.array(b, order="F")
     if x.size:
-        n, info = ctypes.c_int(factorization.n), ctypes.c_int(0)
+        size, info = ctypes.c_int(n), ctypes.c_int(0)
         view = ctypes.c_double.from_buffer
-        # x.T is the C-ordered view of x's buffer that from_buffer accepts.
-        _DTRTRS(b"U", trans, b"N", n, ctypes.c_int(x.size // factorization.n),
-                view(factorization.lower), n, view(x.T), n, info)
-        if info.value:
-            raise np.linalg.LinAlgError(
-                f"singular matrix: resolution failed at diagonal {info.value - 1}")
+        for trans in (b"T", b"N"):
+            # x.T is the C-ordered view of x's buffer that from_buffer accepts.
+            _DTRTRS(b"U", trans, b"N", size, ctypes.c_int(x.size // n),
+                    view(factorization.lower), size, view(x.T), size, info)
+            if info.value:
+                raise np.linalg.LinAlgError(
+                    f"singular matrix: resolution failed at diagonal {info.value - 1}")
     return x
 
 

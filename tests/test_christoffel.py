@@ -200,37 +200,61 @@ def test_ic_on_a_variety_fails_in_the_factorization():
     assert isinstance(raised.value.__cause__, NotPositiveDefiniteError)
 
 
-def test_ic_scores_make_one_triangular_solve(monkeypatch):
-    calls = []
-    real = linalg._DTRTRS
+def test_ic_scores_make_one_triangular_solve_per_row(monkeypatch):
+    # IC takes the batch routine of kic_scores: one s-sized trsv per query on
+    # the stored factor of M, and no block dtrtrs solve.
+    calls, blocks = [], []
+    real_trsv, real_trtrs = linalg._DTRSV, linalg._DTRTRS
 
     def counted(*args):
-        calls.append(args)
-        return real(*args)
+        calls.append(args[3].value)
+        return real_trsv(*args)
 
-    monkeypatch.setattr(linalg, "_DTRTRS", counted)
+    def blocked(*args):
+        blocks.append(args)
+        return real_trtrs(*args)
+
+    monkeypatch.setattr(linalg, "_DTRSV", counted)
+    monkeypatch.setattr(linalg, "_DTRTRS", blocked)
     rng = np.random.default_rng(24)
     scores = ic_scores(rng.normal(size=(30, 2)), rng.normal(size=(9, 2)), 2)
-    assert len(calls) == 1
+    assert calls == [6] * 9 and blocks == []
     assert scores.shape == (9,) and np.all(scores > 0.0)
 
 
-def test_ic_scores_map_the_training_rows_once(monkeypatch):
-    calls = []
-    real = christoffel.feature_matrix
-
-    def counted(fm, X):
-        calls.append(X)
-        return real(fm, X)
-
-    monkeypatch.setattr(christoffel, "feature_matrix", counted)
-    X = np.random.default_rng(25).normal(size=(40, 3))
+@pytest.mark.parametrize("p", [2, 5, 20])
+def test_ic_row_scores_do_not_depend_on_the_batch(p):
+    # Every row keeps the bits of its one-row call, and scoring the training
+    # rows themselves gives the bits of scoring a copy of them.
+    rng = np.random.default_rng(25)
+    X = rng.normal(size=(400, p))
+    Q = rng.normal(size=(64, p)) * 1.5
+    batch = ic_scores(X, Q, 2)
+    expected = np.concatenate([ic_scores(X, Q[i : i + 1], 2) for i in range(len(Q))])
+    assert batch.tobytes() == expected.tobytes()
     same = ic_scores(X, X, 2)
-    assert len(calls) == 1
-    calls.clear()
     copied = ic_scores(X, X.copy(), 2)
-    assert len(calls) == 2
     assert same.tobytes() == copied.tobytes()
+
+
+def test_ic_split_batch_matches_one_row_calls(monkeypatch):
+    # s = 406 monomials and the fewest rows with m s^2 >= _SPLIT_MIN_WORK:
+    # the batch splits over two threads, and each row still has the bits of
+    # its one-row call on the calling thread.
+    rng = np.random.default_rng(26)
+    X = rng.normal(size=(420, 27))
+    s = math.comb(27 + 2, 2)
+    assert s >= christoffel._SPLIT_MIN_N
+    Q = rng.normal(size=(-(-christoffel._SPLIT_MIN_WORK // s**2), 27))
+    threads = _record_split(monkeypatch)
+    batch = ic_scores(X, Q, 2)
+    assert len(threads) == len(Q)
+    assert len(set(threads)) == 2 and threading.get_ident() not in threads
+    threads.clear()
+    expected = np.concatenate([ic_scores(X, Q[i : i + 1], 2) for i in range(len(Q))])
+    assert set(threads) == {threading.get_ident()}
+    assert batch.tobytes() == expected.tobytes()
+    assert np.all(batch > 0.0)
 
 
 def test_ic_symmetric_two_point_hand_case():

@@ -22,6 +22,9 @@ def test_polynomial_spec_requires_degree():
         KernelSpec.polynomial(MAX_POLY_DEGREE + 1)
     with pytest.raises(ValueError):
         KernelSpec.polynomial(2.5)
+    for degree in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="requires an integer degree >= 1"):
+            KernelSpec.polynomial(degree)
     assert type(KernelSpec.polynomial(2.0).degree) is int
 
 
