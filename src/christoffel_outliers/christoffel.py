@@ -257,7 +257,7 @@ def _ic_scores_from_map(fm: FeatureMap, X: np.ndarray, queries: np.ndarray) -> n
             f"fewer than the {fm.dimension} monomials of degree {fm.degree}"
         )
     try:
-        factor = spd_factor(_moment_matrix(fm, X))
+        factor = spd_factor(_moment_matrix(fm, X), overwrite_a=True)
     except NotPositiveDefiniteError as exc:
         raise MomentMatrixError(
             "moment matrix not positive definite; the data may lie on a "
@@ -365,11 +365,16 @@ def fit_kic(
     if not 0 < rho < math.inf:
         raise RhoRangeError(f"rho must be positive and finite, got rho = {rho:g} ({origin})")
     step = A.shape[0] + 1
+    diagonal = A.diagonal().copy()
     A.flat[::step] += rho
     try:
-        factor = spd_factor(A)
+        factor = spd_factor(A, overwrite_a=True)
     except NotPositiveDefiniteError as exc:
-        A.flat[::step] -= rho
+        # The failed factorization overwrote A's lower triangle; its strict
+        # upper one and the saved diagonal still hold G/n.
+        A = np.triu(A, 1)
+        A += A.T
+        A.flat[::step] = diagonal
         raise NotPositiveDefiniteError(
             f"rho I + G/n is not positive definite at rho = {rho:g} "
             f"(||G/n||_F = {frobenius_norm(A):g}); use a larger rho or a smaller C"
@@ -402,9 +407,13 @@ def _batch_objectives(factorization: SpdFactorization, rows, Q: np.ndarray) -> n
     """gamma - ||L^{-1} g||^2 for each row of the checked Q, where ``rows(block)``
     gives a block's right-hand sides g and self-kernels gamma.
 
-    Each row gets its own right-hand side, trsv and dot product, which a
-    batched solve would round by the row's place in the block, so a value
-    depends neither on the batch nor on the CPU count. A batch of m rows on a
+    Each row gets its own right-hand side, forward substitution and dot
+    product, which a batched solve would round by the row's place in the
+    block, so a value depends neither on the batch nor on the CPU count. A
+    block is solved panel by panel (``linalg._objectives``): per panel of the
+    factor, one trsv per row, after one GEMV per row on each panel but the
+    first, so the panel is read from cache for each row after the first, by
+    the calls of a one-row solve. A batch of m rows on a
     factor of order n >= ``_SPLIT_MIN_N`` with m n^2 >= ``_SPLIT_MIN_WORK`` is
     split into contiguous chunks, one per CPU the process may run on, each
     scored by ``_score_rows`` on its own thread while the solves release the
@@ -434,7 +443,7 @@ def _score_rows(factorization: SpdFactorization, rows, Q: np.ndarray, values: np
                 start: int, stop: int) -> None:
     """Write the objective value of rows start..stop-1 of Q, in blocks of at
     most ``_BLOCK_VALUES`` kernel values or features (at least one row):
-    ``rows`` once per block, then one trsv per row."""
+    ``rows`` once per block, then the block's panel solves."""
     step = max(1, _BLOCK_VALUES // factorization.n)
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)

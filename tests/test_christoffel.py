@@ -7,6 +7,7 @@ import pickle
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -761,8 +762,13 @@ def test_f_ordered_factor_scores_like_the_c_ordered_one(monkeypatch):
                              factorization=factor)
     small = Q[: _fewest_split_rows(model) - 1]
     assert kic_scores(other, small).tobytes() == kic_scores(model, small).tobytes()
+    # Each call starts its own pool, whose threads need not reuse the idents
+    # of the last one's, so the threads are checked per call.
     threads = _record_split(monkeypatch)
-    assert kic_scores(other, Q).tobytes() == kic_scores(model, Q).tobytes()
+    split = kic_scores(other, Q)
+    assert len(set(threads)) == 2 and threading.get_ident() not in threads
+    threads.clear()
+    assert split.tobytes() == kic_scores(model, Q).tobytes()
     assert len(set(threads)) == 2 and threading.get_ident() not in threads
 
 
@@ -817,6 +823,94 @@ def test_kic_scores_do_not_revalidate_training_rows(monkeypatch):
     monkeypatch.setattr(kernels, "as_matrix", counted)
     kic_scores(model, rng.normal(size=(6, 3)))
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [730, 1000, 1530])
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_multi_panel_batch_matches_per_point_scores(monkeypatch, n, split):
+    # A factor of more than _PANEL_VALUES entries is solved in panels: a
+    # block panel by panel, one row through the same panels. Every row of a
+    # batch, and of a sub-batch at an offset, keeps the bits of its one-row
+    # kic_score call, serially and over two threads.
+    assert n * n > linalg._PANEL_VALUES
+    rng = np.random.default_rng(n)
+    model = fit_kic(rng.normal(size=(n, 3)), KernelSpec.rbf(1.5), 0.05)
+    Q = rng.normal(size=(100, 3)) * 2.0
+    threads = _record_split(monkeypatch, 2 if split else 1)
+    batch = kic_scores(model, Q)
+    assert len(set(threads)) == 1 + split and (threading.get_ident() in threads) is not split
+    offset = kic_scores(model, Q[17:81])
+    expected = np.array([kic_score(model, q) for q in Q])
+    assert batch.tobytes() == expected.tobytes()
+    assert offset.tobytes() == expected[17:81].tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_multi_panel_overflowing_kernel_row_raises(monkeypatch, workers):
+    # On a 730-row polynomial fit (two panels; its 40 features have 861
+    # monomials, so it takes the kernel route) a kernel row that overflows
+    # raises from a batch, serial or split, and from one-row scoring.
+    rng = np.random.default_rng(44)
+    model = fit_kic(rng.normal(size=(730, 40)), KernelSpec.polynomial(2), 0.05)
+    assert model.feature_map is None and len(linalg._panels(model.n)) == 2
+    Q = rng.normal(size=(128, 40))
+    Q[100] = 1e200
+    threads = _record_split(monkeypatch, workers)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="rhs contains non-finite values"):
+            kic_scores(model, Q)
+        with pytest.raises(ValueError, match="rhs contains non-finite values"):
+            kic_score(model, Q[100])
+    assert len(set(threads) - {threading.get_ident()}) == (0 if workers == 1 else workers)
+
+
+@pytest.mark.parametrize("n, panels", [(627, [627]), (628, [314, 314]), (1000, [334, 334, 332])],
+                         ids=["627", "628", "1000"])
+def test_each_row_makes_one_triangular_solve_per_panel(monkeypatch, n, panels):
+    # A row costs one dtrsv per panel, on the panel's diagonal block of the
+    # stored factor (leading dimension n); a factor of up to _PANEL_VALUES
+    # entries keeps one dtrsv on the whole factor.
+    rng = np.random.default_rng(45)
+    model = fit_kic(rng.normal(size=(n, 3)), KernelSpec.rbf(1.5), 0.05)
+    calls = []
+    real = linalg._DTRSV
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_DTRSV", counted)
+    Q = rng.normal(size=(5, 3))
+    kic_scores(model, Q)
+    assert len(calls) == len(panels) * len(Q)
+    kic_score(model, Q[0])
+    assert len(calls) == len(panels) * (len(Q) + 1)
+    lower = model.factorization.lower
+    starts = np.cumsum([0] + panels[:-1])
+    diagonals = [lower.ctypes.data + 8 * (n + 1) * j0 for j0 in starts]
+    for uplo, trans, _, order, matrix, lda, *_ in calls:
+        assert (uplo, trans, lda.value) == (b"U", b"T", n)
+        assert (order.value, ctypes.addressof(matrix)) in zip(panels, diagonals)
+    assert sorted(call[3].value for call in calls[-len(panels):]) == sorted(panels)
+
+
+@pytest.mark.parametrize("kernel, p, bound", [
+    (KernelSpec.polynomial(2), 50, 9 * 2**20),
+    (KernelSpec.rbf(3.5), 50, 15.8 * 2**20),
+], ids=["polynomial", "rbf"])
+def test_kernel_route_fit_peaks_near_one_gram(kernel, p, bound):
+    # A polynomial fit holds one n x n array (7.6 MiB at n=1000): the C rule's
+    # norm makes no squared copy and the Cholesky works in the Gram's buffer.
+    # An RBF fit adds only the Gram's n x n distance-norm temporary.
+    X = np.random.default_rng(46).normal(size=(1000, p))
+    tracemalloc.start()
+    try:
+        model = fit_kic(X, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.feature_map is None
+    assert peak <= bound
 
 
 def test_kic2_excludes_far_outlier_from_refit():

@@ -1,3 +1,5 @@
+import ctypes
+import math
 import os
 import subprocess
 import sys
@@ -54,20 +56,58 @@ def test_factor_reconstructs_kernel_system():
 
 def test_factor_escalates_jitter_on_singular_input(monkeypatch):
     # spd_factor no longer escalates jitter: on a rank-one matrix it makes
-    # exactly one Cholesky attempt and fails, instead of retrying A + jitter I.
+    # exactly one LAPACK dpotrf attempt, on A's values, and fails, instead of
+    # retrying A + jitter I.
     attempts = []
-    cholesky = np.linalg.cholesky
+    dpotrf = linalg._DPOTRF
 
-    def counting_cholesky(a):
-        attempts.append(np.array(a, copy=True))
-        return cholesky(a)
+    def counting_dpotrf(uplo, n, a, lda, info):
+        size = n.value
+        attempts.append(np.ctypeslib.as_array(ctypes.pointer(a), shape=(size, size)).copy())
+        return dpotrf(uplo, n, a, lda, info)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(linalg, "_DPOTRF", counting_dpotrf)
     A = np.ones((3, 3))
     with pytest.raises(NotPositiveDefiniteError):
         spd_factor(A)
     assert len(attempts) == 1
     assert np.array_equal(attempts[0], A)
+
+
+def test_empty_matrix_fails_before_lapack(monkeypatch):
+    # dpotrf rejects the leading dimension 0 through xerbla, which prints to
+    # stderr, so an empty matrix raises before any LAPACK call.
+    def no_lapack(*args):
+        raise AssertionError("dpotrf was called")
+
+    monkeypatch.setattr(linalg, "_DPOTRF", no_lapack)
+    for overwrite_a in (False, True):
+        with pytest.raises(ValueError, match=r"^expected a nonempty matrix, got shape \(0, 0\)$"):
+            spd_factor(np.zeros((0, 0)), overwrite_a=overwrite_a)
+
+
+@pytest.mark.parametrize("n", [1, 5, 300])
+def test_factor_copies_once_or_overwrites_its_input(n):
+    # The factor is L with zeros above the diagonal, in C order, and matches
+    # numpy's Cholesky to rounding. By default A keeps its values; with
+    # overwrite_a a C-ordered float64 A becomes the factor's own buffer,
+    # and any other A is copied.
+    rng = np.random.default_rng(n)
+    B = rng.normal(size=(n, n))
+    A = B @ B.T + n * np.eye(n)
+    before = A.copy()
+    F = spd_factor(A)
+    assert A.tobytes() == before.tobytes() and not np.shares_memory(F.lower, A)
+    assert F.lower.flags.c_contiguous and np.array_equal(F.lower, np.tril(F.lower))
+    reference = np.linalg.cholesky(A)
+    assert np.allclose(F.lower, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
+    assert spd_factor(A, overwrite_a=True).lower is A
+    assert A.tobytes() == F.lower.tobytes()
+    others = [before.astype(np.float32)] + ([np.asfortranarray(before)] if n > 1 else [])
+    for other in others:
+        kept = other.copy()
+        spd_factor(other, overwrite_a=True)
+        assert other.tobytes() == kept.tobytes()
 
 
 def test_factor_empty_jitter_schedule_forbids_jitter():
@@ -300,11 +340,12 @@ def test_negative_objective_is_returned_as_computed():
     assert type(value) is float and value == -2.0
 
 
-@pytest.mark.parametrize("n", [1, 7, 500])
+@pytest.mark.parametrize("n", [1, 7, 500, 1000])
 def test_block_objective_matches_the_per_row_one(n):
-    # One trsv per row and one stacked dot product: each row of a block gets
-    # the z and the value of its own _objective call, bit for bit, whatever
-    # the height of the block.
+    # One trsv per row (per panel at n=1000, after one stacked GEMV per
+    # panel) and one stacked dot product: each row of a block gets the z and
+    # the value of its own _objective call, bit for bit, whatever the height
+    # of the block.
     rng = np.random.default_rng(n + 1)
     B = rng.normal(size=(n, n))
     F = linalg.SpdFactorization(lower=np.linalg.cholesky(B @ B.T + n * np.eye(n)))
@@ -360,7 +401,7 @@ def test_frobenius_does_not_overflow():
     assert frobenius_norm(np.full((2, 2), 1e200)) == 2e200
     assert frobenius_norm(np.array([[3e300, -4e300]])) == 5e300
     A = np.random.default_rng(4).normal(size=(30, 30)) * 1e150
-    assert frobenius_norm(A) == float(np.sqrt(np.sum(A * A)))
+    assert frobenius_norm(A) == math.sqrt(np.einsum("ij,ij->", A, A))
     assert frobenius_norm(np.array([[np.inf, 1.0]])) == np.inf
 
 
