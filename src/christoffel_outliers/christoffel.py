@@ -299,14 +299,13 @@ def default_rho(G_scaled, C: float) -> float:
     G_scaled = np.asarray(G_scaled, dtype=float)
     if G_scaled.ndim != 2 or G_scaled.shape[0] != G_scaled.shape[1]:
         raise ValueError("G_scaled must be a square matrix")
-    return _c_rule(G_scaled, C, G_scaled.shape[0])
+    return _c_rule(frobenius_norm(G_scaled), C, G_scaled.shape[0])
 
 
-def _c_rule(A: np.ndarray, C: float, n: int) -> float:
-    """||A||_F / (C sqrt(n)), with A the scaled Gram of n rows or their moment matrix."""
+def _c_rule(norm: float, C: float, n: int) -> float:
+    """norm / (C sqrt(n)), with norm ||A||_F of the scaled Gram of n rows or their moment matrix."""
     if not C > 0:
         raise ValueError("C must be positive")
-    norm = frobenius_norm(A)
     if norm == 0.0:
         raise ValueError("degenerate Gram matrix: Frobenius norm is zero")
     return norm / (C * math.sqrt(n))
@@ -359,25 +358,20 @@ def fit_kic(
             )
         # Scale the fresh Gram and add rho to its diagonal in place: no n x n temporaries.
         A /= n
-    origin = "given"
+    # The C rule and the not-positive-definite message read this one norm,
+    # taken before the factorization overwrites A.
+    norm, origin = frobenius_norm(A), "given"
     if rho is None:
-        rho, origin = _c_rule(A, C, n), f"from C = {C:g}"
+        rho, origin = _c_rule(norm, C, n), f"from C = {C:g}"
     if not 0 < rho < math.inf:
         raise RhoRangeError(f"rho must be positive and finite, got rho = {rho:g} ({origin})")
-    step = A.shape[0] + 1
-    diagonal = A.diagonal().copy()
-    A.flat[::step] += rho
+    A.flat[::A.shape[0] + 1] += rho
     try:
         factor = spd_factor(A, overwrite_a=True)
     except NotPositiveDefiniteError as exc:
-        # The failed factorization overwrote A's lower triangle; its strict
-        # upper one and the saved diagonal still hold G/n.
-        A = np.triu(A, 1)
-        A += A.T
-        A.flat[::step] = diagonal
         raise NotPositiveDefiniteError(
             f"rho I + G/n is not positive definite at rho = {rho:g} "
-            f"(||G/n||_F = {frobenius_norm(A):g}); use a larger rho or a smaller C"
+            f"(||G/n||_F = {norm:g}); use a larger rho or a smaller C"
         ) from exc
     return ChristoffelModel(kernel=kernel, rho=float(rho), training=X, factorization=factor,
                             feature_map=fm)
@@ -410,10 +404,8 @@ def _batch_objectives(factorization: SpdFactorization, rows, Q: np.ndarray) -> n
     Each row gets its own right-hand side, forward substitution and dot
     product, which a batched solve would round by the row's place in the
     block, so a value depends neither on the batch nor on the CPU count. A
-    block is solved panel by panel (``linalg._objectives``): per panel of the
-    factor, one trsv per row, after one GEMV per row on each panel but the
-    first, so the panel is read from cache for each row after the first, by
-    the calls of a one-row solve. A batch of m rows on a
+    block is solved panel by panel by the calls of a one-row solve
+    (``linalg._forward``). A batch of m rows on a
     factor of order n >= ``_SPLIT_MIN_N`` with m n^2 >= ``_SPLIT_MIN_WORK`` is
     split into contiguous chunks, one per CPU the process may run on, each
     scored by ``_score_rows`` on its own thread while the solves release the

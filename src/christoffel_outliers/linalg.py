@@ -9,16 +9,12 @@ matrix G, the ridge minimum
 
 is the regularized distance of a feature vector v from the span of the
 training columns V, expressed through the kernel triple (G, g, gamma). Each
-vector gets its own forward substitution, BLAS calls that work in place on g
-and release the GIL, so threads scoring other vectors run meanwhile. A
-factor of up to ``_PANEL_VALUES`` entries is solved by one dtrsv; a larger
-one in panels of rows of L, each a GEMV on the solved part of g and a dtrsv
-on the panel's diagonal block, so that a block of vectors reads each panel
-from cache, not the whole factor once per vector. BLAS dtrsv and LAPACK
-dtrtrs and dpotrf come from scipy's Cython modules, loaded without
-``import scipy.linalg``, which would take half of the package's start-up;
-dtrtrs serves only ``spd_solve``, called as ``scipy.linalg.solve_triangular``
-calls it, so its bits stay.
+vector gets its own forward substitution, ``_forward``: BLAS calls that work
+in place on g and release the GIL, so threads scoring other vectors run
+meanwhile. BLAS dtrsv and LAPACK dpotrf come from scipy's Cython modules,
+loaded without ``import scipy.linalg``, which would take half of the
+package's start-up; ``spd_solve``, which no scorer calls, imports
+``scipy.linalg.solve_triangular`` on its first call.
 """
 
 from __future__ import annotations
@@ -133,30 +129,17 @@ def spd_solve(factorization: SpdFactorization, b) -> np.ndarray:
 
     ``b`` may be a vector or a matrix of stacked right-hand-side columns.
     """
+    from scipy.linalg import solve_triangular
+
     b = np.asarray(b, dtype=float)
     n = factorization.n
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"dimension mismatch: factorization is {n}, rhs has shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs contains non-finite values")
-    # The factor was checked when built; only b is scanned. Two triangular
-    # solves on the stored factor, in place in an F-ordered copy x of b:
-    # cho_solve would copy the factor to Fortran order on every call. dtrtrs
-    # reads the C-ordered L as the F-ordered L^T, so L y = b is dtrtrs("U",
-    # "T") and L^T x = y is dtrtrs("U", "N"): the calls, and so the bits, of
-    # solve_triangular(L, b, lower=True) and then (L, y, lower=True, trans="T").
-    x = np.array(b, order="F")
-    if x.size:
-        size, info = ctypes.c_int(n), ctypes.c_int(0)
-        view = ctypes.c_double.from_buffer
-        for trans in (b"T", b"N"):
-            # x.T is the C-ordered view of x's buffer that from_buffer accepts.
-            _DTRTRS(b"U", trans, b"N", size, ctypes.c_int(x.size // n),
-                    view(factorization.lower), size, view(x.T), size, info)
-            if info.value:
-                raise np.linalg.LinAlgError(
-                    f"singular matrix: resolution failed at diagonal {info.value - 1}")
-    return x
+    # The factor was checked when built; only b is scanned.
+    y = solve_triangular(factorization.lower, b, lower=True, check_finite=False)
+    return solve_triangular(factorization.lower, y, lower=True, trans="T", check_finite=False)
 
 
 def ridge_objective_from_factor(factorization: SpdFactorization, g, gamma: float) -> float:
@@ -171,19 +154,10 @@ def ridge_objective_from_factor(factorization: SpdFactorization, g, gamma: float
 
 
 def _objective(factorization: SpdFactorization, g: np.ndarray, gamma: float) -> float:
-    """``ridge_objective_from_factor`` on g itself, which is overwritten by z = L^{-1} g.
+    """``ridge_objective_from_factor`` on g itself, which ``_forward`` overwrites by z = L^{-1} g.
 
-    BLAS solves in place in g, reading L^T, the F-ordered view of the stored
-    factor: no copy, and none of ``solve_triangular``'s argument handling,
-    which at a few hundred rows costs as much as the solve. The factor's
-    layout was settled when it was built, so only g is checked here: a
-    writeable C-ordered float64 vector of length n.
-
-    The solve runs over ``_panels(n)``: one dtrsv on a factor of up to
-    ``_PANEL_VALUES`` entries; on a larger one, for each later panel of rows
-    j0..j1-1 of L, ``g[:j0] @ L[j0:j1, :j0].T``, one GEMV, is subtracted from
-    g[j0:j1] before the dtrsv on the diagonal block, the calls and so the
-    bits of ``_objectives`` at any row of a block.
+    The factor's layout was settled when it was built, so only g is checked
+    here: a writeable C-ordered float64 vector of length n.
 
     A non-finite entry of g makes z, and so ||z||^2, non-finite; z is
     scanned only when that one number is, and a non-finite entry, from g or
@@ -194,16 +168,7 @@ def _objective(factorization: SpdFactorization, g: np.ndarray, gamma: float) -> 
         raise ValueError(
             f"rhs must be a writeable C-ordered float64 vector of length {n}, got shape {g.shape}"
         )
-    lower = factorization.lower
-    # BLAS reads L^T, F-ordered, where the C-ordered L starts. A ctypes view
-    # of a buffer costs a fraction of ``ndarray.ctypes.data`` and holds it.
-    view = ctypes.c_double.from_buffer
-    lda = ctypes.c_int(n)
-    for j0, j1 in _panels(n):
-        if j0:
-            g[j0:j1] -= g[:j0] @ lower[j0:j1, :j0].T
-        _DTRSV(b"U", b"T", b"N", ctypes.c_int(j1 - j0), view(lower, 8 * (j0 * n + j0)), lda,
-               view(g, 8 * j0), _ONE)
+    _forward(factorization.lower, g)
     zz = float(g @ g)
     if not math.isfinite(zz) and not np.isfinite(g).all():
         raise ValueError("rhs contains non-finite values")
@@ -214,14 +179,11 @@ def _objectives(factorization: SpdFactorization, G: np.ndarray, gammas: np.ndarr
     """``_objective`` for every row of G at once; G is overwritten by the z of each row.
 
     The layout of G, a writeable C-ordered float64 block of rows of length
-    n, is checked once. The block is solved panel by panel, so each panel of
-    the factor is read from cache for every row after the first: per panel,
-    one stacked product makes the GEMV of each row, the call
-    ``g[:j0] @ L[j0:j1, :j0].T`` makes, then each row gets its own dtrsv on
-    the diagonal block. The squared norms come from one stacked product
-    that makes one dot product per row, the call ``g @ g`` makes. So every
-    value keeps the bits of its one-row call. A row raises as it does there:
-    when its ||z||^2 and some entry of its z are both non-finite.
+    n, is checked once. The squared norms come from one stacked product that
+    makes one dot product per row, the call ``g @ g`` makes; with
+    ``_forward``'s per-row calls every value keeps the bits of its one-row
+    call. A row raises as it does there: when its ||z||^2 and some entry of
+    its z are both non-finite.
     """
     n = factorization.n
     if G.dtype != np.float64 or G.ndim != 2 or G.shape[1] != n or not G.flags.carray:
@@ -229,20 +191,38 @@ def _objectives(factorization: SpdFactorization, G: np.ndarray, gammas: np.ndarr
             f"rhs must be a writeable C-ordered float64 block of rows of length {n}, "
             f"got shape {G.shape}"
         )
-    lower = factorization.lower
-    view = ctypes.c_double.from_buffer
-    lda = ctypes.c_int(n)
-    for j0, j1 in _panels(n):
-        if j0:
-            G[:, j0:j1] -= np.matmul(G[:, None, :j0], lower[j0:j1, :j0].T)[:, 0]
-        size, diagonal = ctypes.c_int(j1 - j0), view(lower, 8 * (j0 * n + j0))
-        for offset in range(8 * j0, G.nbytes, 8 * n):
-            _DTRSV(b"U", b"T", b"N", size, diagonal, lda, view(G, offset), _ONE)
+    _forward(factorization.lower, G)
     zz = np.matmul(G[:, None, :], G[:, :, None]).ravel()
     overflowed = ~np.isfinite(zz)
     if overflowed.any() and not np.isfinite(G[overflowed]).all():
         raise ValueError("rhs contains non-finite values")
     return gammas - zz
+
+
+def _forward(lower: np.ndarray, G: np.ndarray) -> None:
+    """Overwrite each row g of G, one row (1-D) or a block of rows (2-D), by L^{-1} g.
+
+    BLAS solves in place, reading L^T, the F-ordered view of the stored
+    factor: no copy, and none of ``solve_triangular``'s argument handling,
+    which at a few hundred rows costs as much as the solve. The solve runs
+    over ``_panels(n)``: one dtrsv per row on a factor of up to
+    ``_PANEL_VALUES`` entries; on a larger one, for each later panel of rows
+    j0..j1-1 of L, one stacked product makes the GEMV ``g[:j0] @ L[j0:j1,
+    :j0].T`` of each row, subtracted from g[j0:j1] before each row's dtrsv
+    on the panel's diagonal block. A block thus reads each panel from cache
+    for every row after the first, and every row gets the calls, and so the
+    bits, of its one-row solve.
+    """
+    n = lower.shape[0]
+    # A ctypes view of a buffer costs a fraction of ``ndarray.ctypes.data`` and holds it.
+    view = ctypes.c_double.from_buffer
+    lda = ctypes.c_int(n)
+    for j0, j1 in _panels(n):
+        if j0:
+            G[..., j0:j1] -= np.matmul(G[..., None, :j0], lower[j0:j1, :j0].T)[..., 0, :]
+        size, diagonal = ctypes.c_int(j1 - j0), view(lower, 8 * (j0 * n + j0))
+        for offset in range(8 * j0, G.nbytes, 8 * n):
+            _DTRSV(b"U", b"T", b"N", size, diagonal, lda, view(G, offset), _ONE)
 
 
 # Factor entries per panel of the forward substitution, 3 MB: one panel up to
@@ -308,10 +288,6 @@ _CHAR_P = ctypes.c_char_p
 #            double *x, int *incx)
 _DTRSV = _cython_function("cython_blas", "dtrsv", ctypes.CFUNCTYPE(
     None, _CHAR_P, _CHAR_P, _CHAR_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P))
-# void dtrtrs(char *uplo, char *trans, char *diag, int *n, int *nrhs, double *a,
-#             int *lda, double *b, int *ldb, int *info)
-_DTRTRS = _cython_function("cython_lapack", "dtrtrs", ctypes.CFUNCTYPE(
-    None, _CHAR_P, _CHAR_P, _CHAR_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P))
 # void dpotrf(char *uplo, int *n, double *a, int *lda, int *info)
 _DPOTRF = _cython_function("cython_lapack", "dpotrf", ctypes.CFUNCTYPE(
     None, _CHAR_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P))

@@ -203,23 +203,22 @@ def test_ic_on_a_variety_fails_in_the_factorization():
 
 def test_ic_scores_make_one_triangular_solve_per_row(monkeypatch):
     # IC takes the batch routine of kic_scores: one s-sized trsv per query on
-    # the stored factor of M, and no block dtrtrs solve.
-    calls, blocks = [], []
-    real_trsv, real_trtrs = linalg._DTRSV, linalg._DTRTRS
+    # the stored factor of M, and no block solve through spd_solve.
+    calls = []
+    real_trsv = linalg._DTRSV
 
     def counted(*args):
         calls.append(args[3].value)
         return real_trsv(*args)
 
     def blocked(*args):
-        blocks.append(args)
-        return real_trtrs(*args)
+        raise AssertionError("spd_solve called")
 
     monkeypatch.setattr(linalg, "_DTRSV", counted)
-    monkeypatch.setattr(linalg, "_DTRTRS", blocked)
+    monkeypatch.setattr(linalg, "spd_solve", blocked)
     rng = np.random.default_rng(24)
     scores = ic_scores(rng.normal(size=(30, 2)), rng.normal(size=(9, 2)), 2)
-    assert calls == [6] * 9 and blocks == []
+    assert calls == [6] * 9
     assert scores.shape == (9,) and np.all(scores > 0.0)
 
 

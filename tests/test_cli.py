@@ -937,15 +937,23 @@ def test_cli_import_does_not_load_scipy_stats():
 
 def test_cli_import_does_not_load_scipy_linalg():
     # import scipy.linalg takes about half of the tool's start-up; the BLAS and
-    # LAPACK routines come from scipy's Cython modules loaded on their own. A
-    # later import of scipy.linalg must find them as its own submodules, and
-    # scipy's solves and the lazily imported cdist must still work.
+    # LAPACK routines come from scipy's Cython modules loaded on their own, so
+    # fitting and scoring do not load it either. A later import of scipy.linalg
+    # must find them as its own submodules, and spd_solve, which imports
+    # solve_triangular, and the lazily imported cdist must still work.
     src = Path(__file__).resolve().parents[1] / "src"
     probe = textwrap.dedent("""
         import sys
         import numpy as np
         import christoffel_outliers.cli
-        from christoffel_outliers import knn_scores, linalg
+        from christoffel_outliers import (KernelSpec, fit_kic, ic_scores, kic_score, kic_scores,
+                                          knn_scores, linalg)
+        X = np.random.default_rng(5).normal(size=(40, 3))
+        # Degree 2 takes the feature route (s = 10 <= n), degree 5 the kernel route.
+        for kernel in (KernelSpec.polynomial(2), KernelSpec.polynomial(5), KernelSpec.rbf(1.0)):
+            model = fit_kic(X, kernel)
+            kic_scores(model, X), kic_score(model, X[0])
+        ic_scores(X, X, 2)
         loaded = "scipy.linalg" in sys.modules
         import scipy.linalg, scipy.spatial.distance
         for name in ("cython_blas", "cython_lapack"):

@@ -331,6 +331,18 @@ def test_fit_on_singular_kernel_system_fails_naming_rho():
         fit_kic(X, KernelSpec.rbf(1.0), 1e-20)
 
 
+@pytest.mark.parametrize("rho", [1e-300, None], ids=["given", "C-rule"])
+def test_fit_failure_message_gives_the_scaled_gram_norm(rho):
+    # The message names ||G/n||_F of the fit's own Gram, whether rho was given
+    # or came from the C rule, which reads the same norm.
+    X = np.repeat(np.random.default_rng(31).normal(size=(4, 3)), 3, axis=0)
+    kernel = KernelSpec.rbf(1.5)
+    norm = frobenius_norm(gram_matrix(kernel, X) / len(X))
+    with pytest.raises(NotPositiveDefiniteError) as raised:
+        fit_kic(X, kernel, rho, C=1e30)
+    assert f"(||G/n||_F = {norm:g}); use a larger rho" in str(raised.value)
+
+
 def test_negative_objective_is_returned_as_computed():
     # L = 2 I and z = (1, 0), so a negative gamma puts the minimum
     # gamma - 1 below zero, exactly: it comes back unchanged, with no warning.
