@@ -46,11 +46,10 @@ import numpy as np
 
 from ._validate import NumericalError, as_matrix, as_vector
 from .baselines import lowest_score_indices
-from .kernels import KernelSpec, _kernel_row, _kernel_rows, _row_basis, gram_matrix
+from .kernels import KernelSpec, _kernel_rows, _row_basis, gram_matrix
 from .linalg import (
     NotPositiveDefiniteError,
     SpdFactorization,
-    _objective,
     _objectives,
     frobenius_norm,
     spd_factor,
@@ -392,9 +391,7 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     Q = as_matrix(Q, "Q")
     _check_features(model, Q.shape[1])
     values = _batch_objectives(model.factorization, lambda block: _rows(model, block), Q)
-    if model.feature_map is not None:
-        return values * -model.rho
-    return values
+    return values * -model.rho if model.feature_map is not None else values
 
 
 def _batch_objectives(factorization: SpdFactorization, rows, Q: np.ndarray) -> np.ndarray:
@@ -403,9 +400,9 @@ def _batch_objectives(factorization: SpdFactorization, rows, Q: np.ndarray) -> n
 
     Each row gets its own right-hand side, forward substitution and dot
     product, which a batched solve would round by the row's place in the
-    block, so a value depends neither on the batch nor on the CPU count. A
-    block is solved panel by panel by the calls of a one-row solve
-    (``linalg._forward``). A batch of m rows on a
+    block: a block goes through ``rows`` and ``linalg._objectives``, which
+    take a single row (``kic_score``) by the same calls, so a value depends
+    neither on the batch nor on the CPU count. A batch of m rows on a
     factor of order n >= ``_SPLIT_MIN_N`` with m n^2 >= ``_SPLIT_MIN_WORK`` is
     split into contiguous chunks, one per CPU the process may run on, each
     scored by ``_score_rows`` on its own thread while the solves release the
@@ -439,9 +436,6 @@ def _score_rows(factorization: SpdFactorization, rows, Q: np.ndarray, values: np
     step = max(1, _BLOCK_VALUES // factorization.n)
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)
-        # The block form, not _objective per row: scoring a batch of 1000 rows
-        # (`table`'s training rows, KIC2's second stage) took 5-26% longer row
-        # by row at n=1000 and n=600.
         values[lo:hi] = _objectives(factorization, *rows(Q[lo:hi]))
 
 
@@ -450,10 +444,7 @@ def _rows(model: ChristoffelModel, Q: np.ndarray) -> tuple:
     block (2-D): kernel rows scaled by 1/sqrt(n), or features and 0.0."""
     if model.feature_map is not None:
         return _features(model._basis, Q), 0.0
-    # The one-row forms for one row: a single query on the `queries-2d` fit
-    # (n=500, p=2) took 6-10% longer through _kernel_rows or _objectives,
-    # slower in 33-38 of 40 blocks of 1000 queries.
-    g, gamma = (_kernel_row if Q.ndim == 1 else _kernel_rows)(model.kernel, model._basis, Q)
+    g, gamma = _kernel_rows(model.kernel, model._basis, Q)
     g /= math.sqrt(model.n)
     return g, gamma
 
@@ -472,19 +463,17 @@ def _cpu_count() -> int:
 
 
 def kic_score(model: ChristoffelModel, x) -> float:
-    """Kernelized score at one query point.
+    """Kernelized score at one query point, as a Python float.
 
-    x is checked once and scored on the calling thread by the one-row forms
-    of the steps ``kic_scores`` takes per block, ``_rows`` and one triangular
-    solve, and finished by the same rule: the result matches the row's entry
-    of ``kic_scores`` bit for bit, whatever the batch.
+    x is checked once and scored on the calling thread by the two calls
+    ``kic_scores`` makes per block, ``_rows`` and ``_objectives``, on the
+    1-D row, and finished by the same rule: the result matches the row's
+    entry of ``kic_scores`` bit for bit, whatever the batch.
     """
     x = as_vector(x, "x")
     _check_features(model, x.shape[0])
-    value = _objective(model.factorization, *_rows(model, x))
-    if model.feature_map is not None:
-        return -model.rho * value
-    return value
+    value = _objectives(model.factorization, *_rows(model, x))
+    return float(value * -model.rho if model.feature_map is not None else value)
 
 
 def kic_scores_all(X, kernel: KernelSpec, rho: float) -> np.ndarray:

@@ -421,7 +421,10 @@ def _cmd_contour(args) -> None:
     params = _method_params(method, dm.p, dm.n, args)
     model = fit_kic(dm.values, _kernel(method, params), params["rho"], params["C"])
     params["rho"] = model.rho
-    xs, ys, scores = grid_scores(model, x_range, y_range)
+    # Features or kernel rows that overflow on a grid far from the data fail
+    # the solve with one message, as an overflowing Gram fails the fit, and no numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ys, scores = grid_scores(model, x_range, y_range)
 
     grid = ",".join(map(str, x_range + y_range))
     meta = [("method", method), ("input", args.input), ("grid", grid)]

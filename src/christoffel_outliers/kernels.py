@@ -7,9 +7,9 @@ Two kernel families are supported:
 
 Both start from inner products: RBF squared distances are
 ||a||^2 + ||b||^2 - 2 a.b, clamped at 0, so a kernel row costs one
-matrix-vector product for either family. The rows are centred at the
-training mean first, so the terms cancel at the scale of the data's spread,
-not of its offset from the origin.
+matrix-vector product for either family, for one query or each of a block
+(``_kernel_rows``). The rows are centred at the training mean first, so the
+terms cancel at the scale of the data's spread, not of its offset from the origin.
 
 Gram matrices hold raw kernel values. The 1/n moment scaling used by the
 scoring layer is applied there, not here, so these matrices stay reusable
@@ -92,12 +92,12 @@ def _int_power(base, exponent: int):
 
 
 def _sq_norms(A: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of A.
+    """Squared norm of a row (1-D A) or of each row of a block (2-D).
 
-    Training rows and queries both go through this one reduction, so a
-    row's norm does not depend on how many rows share the call.
+    Training rows and queries all go through this one reduction, so a row's
+    norm does not depend on how many rows share the call.
     """
-    return np.einsum("ij,ij->i", A, A)
+    return np.einsum("...j,...j->...", A, A)
 
 
 def _sq_distances(P: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -125,7 +125,7 @@ def _transform(spec: KernelSpec, P: np.ndarray) -> np.ndarray:
 
 
 def _row_basis(spec: KernelSpec, X: np.ndarray) -> tuple:
-    """What ``_kernel_row`` needs of training rows X that were already checked.
+    """What ``_kernel_rows`` needs of training rows X that were already checked.
 
     Polynomial: ``(X, None, None)``. RBF: ``(X - mean, mean, squared norms
     of the centred rows)``, with ``mean`` the mean row of X.
@@ -137,36 +137,22 @@ def _row_basis(spec: KernelSpec, X: np.ndarray) -> tuple:
     return centred, mean, _sq_norms(centred)
 
 
-def _kernel_row(spec: KernelSpec, basis: tuple, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """``cross_vector`` on a ``_row_basis`` and a checked query: one matrix-vector product.
+def _kernel_rows(spec: KernelSpec, basis: tuple, Q: np.ndarray) -> tuple:
+    """``cross_vector`` on a ``_row_basis`` and a checked row (1-D Q) or block
+    (2-D): kernel rows, and self-kernels (1 + x.x)^d by the row's squarings,
+    or the scalar 1.0 for RBF (exp(-0.0) is 1).
 
-    The self-kernel is a Python float: (1 + x.x)^d by the same squarings as
-    the row, or exactly 1.0 for RBF, since exp(-0.0) is 1.
+    ``np.matmul`` makes the GEMV ``rows @ x`` of each query and ``np.vecdot``
+    its dot product ``x @ x``; every other step is elementwise, so a row
+    keeps its bits in any block.
     """
     rows, mean, sq = basis
     if spec.family == POLYNOMIAL:
-        return _transform(spec, rows @ x), _int_power(1.0 + float(x @ x), spec.degree)
-    xc = x - mean
-    return _transform(spec, _sq_distances(rows @ xc, sq + _sq_norms(xc[None, :]))), 1.0
-
-
-def _kernel_rows(spec: KernelSpec, basis: tuple, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_kernel_row`` for every row of a checked block Q: an (m, n) array of
-    kernel rows and the m self-kernels.
-
-    One stacked product makes one matrix-vector product per row of Q, the
-    call ``rows @ x`` makes, and the self inner products one dot product
-    each, the call ``x @ x`` makes; every other step is elementwise. So each
-    row keeps the bits of its one-row call, whatever block it is in.
-    """
-    rows, mean, sq = basis
-    if spec.family == POLYNOMIAL:
-        xx = np.matmul(Q[:, None, :], Q[:, :, None]).ravel()
-        P = np.matmul(rows, Q[:, :, None])[:, :, 0]
-        return _transform(spec, P), _int_power(1.0 + xx, spec.degree)
+        P = np.matmul(rows, Q[..., None])[..., 0]
+        return _transform(spec, P), _int_power(1.0 + np.vecdot(Q, Q), spec.degree)
     xc = Q - mean
-    D = _sq_distances(np.matmul(rows, xc[:, :, None])[:, :, 0], np.add.outer(_sq_norms(xc), sq))
-    return _transform(spec, D), np.ones(Q.shape[0])
+    D = _sq_distances(np.matmul(rows, xc[..., None])[..., 0], _sq_norms(xc)[..., None] + sq)
+    return _transform(spec, D), 1.0
 
 
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
@@ -198,4 +184,4 @@ def cross_vector(spec: KernelSpec, X, x) -> tuple[np.ndarray, float]:
         raise ValueError(
             f"dimension mismatch: X has {X.shape[1]} features, x has {x.shape[0]}"
         )
-    return _kernel_row(spec, _row_basis(spec, X), x)
+    return _kernel_rows(spec, _row_basis(spec, X), x)

@@ -8,12 +8,13 @@ matrix G, the ridge minimum
     min_theta ||V theta - v||^2 + rho ||theta||^2  =  gamma - ||L^{-1} g||^2
 
 is the regularized distance of a feature vector v from the span of the
-training columns V, expressed through the kernel triple (G, g, gamma). Each
-vector gets its own forward substitution, ``_forward``: BLAS calls that work
-in place on g and release the GIL, so threads scoring other vectors run
-meanwhile. BLAS dtrsv and LAPACK dpotrf come from scipy's Cython modules,
-loaded without ``import scipy.linalg``, which would take half of the
-package's start-up; ``spd_solve``, which no scorer calls, imports
+training columns V, expressed through the kernel triple (G, g, gamma).
+``_objectives`` takes one g or a block of them, and each g gets its own
+forward substitution, ``_forward``: BLAS calls that work in place on g and
+release the GIL, so threads scoring other vectors run meanwhile. BLAS dtrsv
+and LAPACK dpotrf come from scipy's Cython modules, loaded without ``import
+scipy.linalg``, which would take half of the package's start-up;
+``spd_solve``, which no scorer calls, imports
 ``scipy.linalg.solve_triangular`` on its first call.
 """
 
@@ -150,51 +151,32 @@ def ridge_objective_from_factor(factorization: SpdFactorization, g, gamma: float
     on a copy of g, returned as computed, even a rounding error below zero.
     """
     g = np.array(g, dtype=np.float64)
-    return float(_objective(factorization, g, gamma))
+    if g.ndim != 1:  # _objectives would score a 2-D g as a block of rows
+        raise ValueError(f"rhs must be a writeable C-ordered float64 vector of length "
+                         f"{factorization.n}, got shape {g.shape}")
+    return float(_objectives(factorization, g, gamma))
 
 
-def _objective(factorization: SpdFactorization, g: np.ndarray, gamma: float) -> float:
-    """``ridge_objective_from_factor`` on g itself, which ``_forward`` overwrites by z = L^{-1} g.
+def _objectives(factorization: SpdFactorization, G: np.ndarray, gammas):
+    """gamma - ||z||^2 for a row g (1-D G) or each row of a block (2-D), with
+    z = L^{-1} g written over g by ``_forward``. Only G is checked: the
+    factor's layout was settled when it was built.
 
-    The factor's layout was settled when it was built, so only g is checked
-    here: a writeable C-ordered float64 vector of length n.
-
-    A non-finite entry of g makes z, and so ||z||^2, non-finite; z is
-    scanned only when that one number is, and a non-finite entry, from g or
-    from a solve that overflows, raises.
+    ``np.vecdot`` makes one dot product per row, the call ``z @ z`` makes, so
+    with ``_forward``'s per-row calls a row keeps its bits in any block. The
+    rows are scanned only when the sum of their ||z||^2 is not finite; a
+    non-finite ||z||^2 with a non-finite entry of z (from g, or from a solve
+    that overflowed) raises.
     """
     n = factorization.n
-    if g.dtype != np.float64 or g.shape != (n,) or not g.flags.carray:
+    if G.dtype != np.float64 or G.ndim not in (1, 2) or G.shape[-1] != n or not G.flags.carray:
+        kind = "vector" if G.ndim == 1 else "block of rows"
         raise ValueError(
-            f"rhs must be a writeable C-ordered float64 vector of length {n}, got shape {g.shape}"
-        )
-    _forward(factorization.lower, g)
-    zz = float(g @ g)
-    if not math.isfinite(zz) and not np.isfinite(g).all():
-        raise ValueError("rhs contains non-finite values")
-    return gamma - zz
-
-
-def _objectives(factorization: SpdFactorization, G: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """``_objective`` for every row of G at once; G is overwritten by the z of each row.
-
-    The layout of G, a writeable C-ordered float64 block of rows of length
-    n, is checked once. The squared norms come from one stacked product that
-    makes one dot product per row, the call ``g @ g`` makes; with
-    ``_forward``'s per-row calls every value keeps the bits of its one-row
-    call. A row raises as it does there: when its ||z||^2 and some entry of
-    its z are both non-finite.
-    """
-    n = factorization.n
-    if G.dtype != np.float64 or G.ndim != 2 or G.shape[1] != n or not G.flags.carray:
-        raise ValueError(
-            f"rhs must be a writeable C-ordered float64 block of rows of length {n}, "
-            f"got shape {G.shape}"
+            f"rhs must be a writeable C-ordered float64 {kind} of length {n}, got shape {G.shape}"
         )
     _forward(factorization.lower, G)
-    zz = np.matmul(G[:, None, :], G[:, :, None]).ravel()
-    overflowed = ~np.isfinite(zz)
-    if overflowed.any() and not np.isfinite(G[overflowed]).all():
+    zz = np.vecdot(G, G)
+    if not math.isfinite(np.add.reduce(zz, axis=None)) and not np.isfinite(G[~np.isfinite(zz)]).all():
         raise ValueError("rhs contains non-finite values")
     return gammas - zz
 

@@ -495,9 +495,9 @@ def test_negative_kernel_route_values_are_returned_as_computed(monkeypatch, valu
     def negative(factorization, g, gamma):
         return gamma * 0.0 + value
 
-    # kic_score takes the per-row objective and kic_scores the block one;
-    # the stub works on one gamma and on a block's gammas alike.
-    monkeypatch.setattr(christoffel, "_objective", negative)
+    # kic_score and kic_scores both take the one objective routine, so this
+    # one stub, which works on one gamma and on a block's gammas alike,
+    # reaches both.
     monkeypatch.setattr(christoffel, "_objectives", negative)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

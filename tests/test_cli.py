@@ -884,6 +884,20 @@ def test_contour_rbf_far_field(tmp_path):
     assert np.allclose(corners, 1.0, atol=1e-3)
 
 
+@pytest.mark.parametrize("degree", ["2", "5"], ids=["feature-route", "kernel-route"])
+def test_contour_overflow_exits_3_with_one_line_and_no_warning(tmp_path, capsys, degree):
+    # 6 monomials of degree 2 in 2 features take the feature route on the 20
+    # rows, 21 of degree 5 the kernel route. Every grid point but the centre
+    # overflows its features or kernel row; the solve then fails with one
+    # message, and no numpy warning (an error under this suite's filter).
+    out = tmp_path / "g.csv"
+    code = main(["contour", "--method", "KIC", "--degree", degree, "--input", str(_write_2d(tmp_path)),
+                 "--grid=-1e200,1e200,3,-1e200,1e200,3", "--output", str(out)])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numerical error: rhs contains non-finite values\n"
+    assert not out.exists()
+
+
 def test_contour_requires_two_features(tmp_path):
     data = _write_blobs(tmp_path)
     code = main(["contour", "--method", "KIC", "--input", str(data),

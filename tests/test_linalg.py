@@ -355,9 +355,9 @@ def test_negative_objective_is_returned_as_computed():
 @pytest.mark.parametrize("n", [1, 7, 500, 1000])
 def test_block_objective_matches_the_per_row_one(n):
     # One trsv per row (per panel at n=1000, after one stacked GEMV per
-    # panel) and one stacked dot product: each row of a block gets the z and
-    # the value of its own _objective call, bit for bit, whatever the height
-    # of the block.
+    # panel) and one dot product per row: each row of a block gets the z and
+    # the value of its own 1-D _objectives call, bit for bit, whatever the
+    # height of the block.
     rng = np.random.default_rng(n + 1)
     B = rng.normal(size=(n, n))
     F = linalg.SpdFactorization(lower=np.linalg.cholesky(B @ B.T + n * np.eye(n)))
@@ -368,7 +368,7 @@ def test_block_objective_matches_the_per_row_one(n):
         values = linalg._objectives(F, Z, gammas)
         for g, z, gamma, value in zip(G, Z, gammas, values):
             g = g.copy()
-            assert linalg._objective(F, g, float(gamma)) == value
+            assert linalg._objectives(F, g, float(gamma)) == value
             assert g.tobytes() == z.tobytes()
 
 
@@ -377,7 +377,7 @@ def test_block_objective_checks_its_block_and_raises_like_the_per_row_one():
     read_only = np.ones((2, 3))
     read_only.flags.writeable = False
     message = "writeable C-ordered float64 block of rows of length 3"
-    for G in (np.ones(3), np.ones((2, 4)), np.ones((2, 3), dtype=np.float32),
+    for G in (np.ones((1, 2, 3)), np.ones((2, 4)), np.ones((2, 3), dtype=np.float32),
               np.ones((3, 2)).T, np.ones((2, 6))[:, ::2], read_only):
         with pytest.raises(ValueError, match=message):
             linalg._objectives(F, G, np.ones(len(G)))
@@ -392,8 +392,8 @@ def test_block_objective_checks_its_block_and_raises_like_the_per_row_one():
     G[1] = 1e200
     with np.errstate(over="ignore"):
         values = linalg._objectives(F, G.copy(), np.ones(2))
-        assert values[1] == linalg._objective(F, G[1].copy(), 1.0) == -np.inf
-    assert values[0] == linalg._objective(F, G[0].copy(), 1.0)
+        assert values[1] == linalg._objectives(F, G[1].copy(), 1.0) == -np.inf
+    assert values[0] == linalg._objectives(F, G[0].copy(), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +432,7 @@ def test_gil_free_trsv_matches_scipy_dtrsv(n):
     for x in rng.normal(size=(20, n)):
         expected = dtrsv(F.lower.T, x, trans=1)
         z = x.copy()
-        value = linalg._objective(F, z, 1.0)
+        value = linalg._objectives(F, z, 1.0)
         assert z.tobytes() == expected.tobytes()
         assert value == 1.0 - float(expected @ expected)
 
@@ -458,6 +458,9 @@ def test_gil_free_trsv_checks_its_arguments():
     message = "writeable C-ordered float64 vector of length 3"
     for g in (np.ones(4), np.ones(3, dtype=np.float32), np.ones(6)[::2], read_only):
         with pytest.raises(ValueError, match=message):
-            linalg._objective(F, g, 1.0)
+            linalg._objectives(F, g, 1.0)
     with pytest.raises(ValueError, match=message + r", got shape \(4,\)"):
         ridge_objective_from_factor(F, [1.0] * 4, 1.0)
+    # A single rhs only: a (1, 3) g is not taken as a block of one row.
+    with pytest.raises(ValueError, match=message + r", got shape \(1, 3\)"):
+        ridge_objective_from_factor(F, [[1.0] * 3], 1.0)
