@@ -57,14 +57,15 @@ from .linalg import (
 
 # A batch of m rows is split over threads only on a factor of order n of at
 # least _SPLIT_MIN_N, and only when m n^2, which sets the batch's solve time,
-# reaches _SPLIT_MIN_WORK. Split time over serial time on 2 cores with 1 BLAS
-# thread, p=20, medians of 9 alternating runs on a noisy host (polynomial /
-# RBF): for 1000 rows 0.77-1.10 / 0.84-0.99 at n=300, 0.73-0.91 / 0.75-0.84
-# at n=400, 0.67 / 0.85 at n=500, 0.70 / 0.54 at n=600 and 0.61 / 0.55 at
-# n=1000; at n=400, 1.74 / 1.85 for 32 rows, 1.10 / 1.19 for 64, 0.94 / 1.33
-# for 128 and 0.83 / 1.14 for 256; at n=1000, 0.79 / 0.79 for 32 rows,
-# 0.69 / 0.63 for 64 and 0.65 / 0.58 for 128. Below n=400 the gain is small
-# and unsteady; below about 2^25 / n^2 rows, starting the threads costs
+# reaches _SPLIT_MIN_WORK. Split time over serial time for 1000 RBF rows at
+# p=20 on 2 cores with 1 BLAS thread (medians of 15 alternating calls, range
+# over 3 runs of a noisy host): 0.94-1.39 at n=200, 0.94-1.00 at n=300,
+# 0.78-0.93 at n=400, 0.68-0.81 at n=600 and 0.64-0.74 at n=1000. Measured
+# before the solves went to panels (polynomial / RBF, medians of 9
+# alternating runs): at n=400, 1.74 / 1.85 for 32 rows, 1.10 / 1.19 for 64,
+# 0.94 / 1.33 for 128 and 0.83 / 1.14 for 256; at n=1000, 0.79 / 0.79 for 32
+# rows, 0.69 / 0.63 for 64 and 0.65 / 0.58 for 128. Below n=400 the gain is
+# small and unsteady; below about 2^25 / n^2 rows, starting the threads costs
 # about what splitting saves.
 _SPLIT_MIN_N = 400
 _SPLIT_MIN_WORK = 2**25
@@ -333,7 +334,8 @@ def fit_kic(
     A polynomial kernel with binomial(p + d, d) <= n takes the feature route
     and factorizes (rho I + M) instead; otherwise the Gram is built once.
     When ``rho`` is None it comes from the C rule on that same matrix
-    (||G/n||_F = ||M||_F) with divisor ``C``; the model records it.
+    (||G/n||_F = ||M||_F) with divisor ``C``; the model records it. That norm,
+    between max |G_ij| / n and max |G_ij|, is finite exactly when the Gram is.
 
     Raises:
         GramOverflowError: if a Gram matrix entry overflows.
@@ -350,16 +352,15 @@ def fit_kic(
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             A = gram_matrix(kernel, X)
-        if not np.isfinite(A).all():
-            at, fix = (f" at degree {kernel.degree}", "a lower degree or ") if kernel.degree else ("", "")
-            raise GramOverflowError(
-                f"{kernel.family} Gram matrix overflows double precision{at}; use {fix}normalized data"
-            )
         # Scale the fresh Gram and add rho to its diagonal in place: no n x n temporaries.
         A /= n
-    # The C rule and the not-positive-definite message read this one norm,
-    # taken before the factorization overwrites A.
+    # The Gram check, the C rule and the not-positive-definite message read
+    # this one norm, taken before the factorization overwrites A.
     norm, origin = frobenius_norm(A), "given"
+    if fm is None and not math.isfinite(norm):
+        at, fix = (f" at degree {kernel.degree}", "a lower degree or ") if kernel.degree else ("", "")
+        raise GramOverflowError(f"{kernel.family} Gram matrix overflows double precision{at}; "
+                                f"use {fix}normalized data")
     if rho is None:
         rho, origin = _c_rule(norm, C, n), f"from C = {C:g}"
     if not 0 < rho < math.inf:

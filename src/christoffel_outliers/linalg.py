@@ -11,10 +11,10 @@ is the regularized distance of a feature vector v from the span of the
 training columns V, expressed through the kernel triple (G, g, gamma).
 ``_objectives`` takes one g or a block of them, and each g gets its own
 forward substitution, ``_forward``: BLAS calls that work in place on g and
-release the GIL, so threads scoring other vectors run meanwhile. BLAS dtrsv
-and LAPACK dpotrf come from scipy's Cython modules, loaded without ``import
-scipy.linalg``, which would take half of the package's start-up;
-``spd_solve``, which no scorer calls, imports
+release the GIL, so threads scoring other vectors run meanwhile. One binder,
+``_cython_function``, takes BLAS dtrsv and LAPACK dpotrf from scipy's Cython
+modules without ``import scipy.linalg``, which would take half of the
+package's start-up; ``spd_solve``, which no scorer calls, imports
 ``scipy.linalg.solve_triangular`` on its first call.
 """
 
@@ -164,9 +164,9 @@ def _objectives(factorization: SpdFactorization, G: np.ndarray, gammas):
 
     ``np.vecdot`` makes one dot product per row, the call ``z @ z`` makes, so
     with ``_forward``'s per-row calls a row keeps its bits in any block. The
-    rows are scanned only when the sum of their ||z||^2 is not finite; a
-    non-finite ||z||^2 with a non-finite entry of z (from g, or from a solve
-    that overflowed) raises.
+    rows are scanned only when the sum of their values is not finite; a NaN
+    value (as from an infinite gamma less an infinite ||z||^2), or one with a
+    non-finite entry of z (from g, or from a solve that overflowed), raises.
     """
     n = factorization.n
     if G.dtype != np.float64 or G.ndim not in (1, 2) or G.shape[-1] != n or not G.flags.carray:
@@ -175,10 +175,11 @@ def _objectives(factorization: SpdFactorization, G: np.ndarray, gammas):
             f"rhs must be a writeable C-ordered float64 {kind} of length {n}, got shape {G.shape}"
         )
     _forward(factorization.lower, G)
-    zz = np.vecdot(G, G)
-    if not math.isfinite(np.add.reduce(zz, axis=None)) and not np.isfinite(G[~np.isfinite(zz)]).all():
+    values = gammas - np.vecdot(G, G)
+    if not math.isfinite(np.add.reduce(values, axis=None)) and (
+            np.isnan(values).any() or not np.isfinite(G[~np.isfinite(values)]).all()):
         raise ValueError("rhs contains non-finite values")
-    return gammas - zz
+    return values
 
 
 def _forward(lower: np.ndarray, G: np.ndarray) -> None:
@@ -227,40 +228,33 @@ def _panels(n: int) -> tuple:
     return tuple((j0, min(j0 + width, n)) for j0 in range(0, n, width))
 
 
-def _scipy_linalg_module(name: str):
-    """scipy's extension module ``scipy.linalg.<name>``, reused or loaded from its file alone."""
-    fullname = f"scipy.linalg.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    directory = os.path.join(scipy_dir, "linalg")
-    paths = [os.path.join(directory, name + end) for end in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next(filter(os.path.isfile, paths), None)
-    if path is None:
-        raise ImportError(f"scipy's {fullname} is not at {paths[0]}", name=fullname)
-    loader = importlib.machinery.ExtensionFileLoader(fullname, path)
-    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(fullname, loader))
-    loader.exec_module(module)
-    # The module enters itself in sys.modules. Taken out, a later ``import
-    # scipy.linalg`` imports it as usual (the extension hands back this same
-    # module object) and binds it as that package's attribute.
-    sys.modules.pop(fullname, None)
-    return module
-
-
-def _cython_function(module: str, name: str, prototype):
-    """The routine ``name`` that ``scipy.linalg.<module>`` exports, as a ctypes call.
-
-    The exported capsule holds the function pointer; a ``CFUNCTYPE`` call
-    releases the GIL for its duration.
-    """
-    capsule = _scipy_linalg_module(module).__pyx_capi__[name]
+def _cython_function(module: str, name: str, *argtypes):
+    """The routine ``name`` of scipy's extension ``scipy.linalg.<module>``, as a
+    ctypes call that takes ``argtypes``: the module is reused from ``sys.modules``
+    or loaded from its file alone, its capsule holds the function pointer, and a
+    ``CFUNCTYPE`` call releases the GIL for its duration."""
+    fullname = f"scipy.linalg.{module}"
+    extension = sys.modules.get(fullname)
+    if extension is None:
+        directory = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+        paths = [os.path.join(directory, module + end) for end in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next(filter(os.path.isfile, paths), None)
+        if path is None:
+            raise ImportError(f"scipy's {fullname} is not at {paths[0]}", name=fullname)
+        loader = importlib.machinery.ExtensionFileLoader(fullname, path)
+        extension = importlib.util.module_from_spec(importlib.util.spec_from_loader(fullname, loader))
+        loader.exec_module(extension)
+        # The module enters itself in sys.modules. Taken out, a later ``import
+        # scipy.linalg`` imports it as usual (the extension hands back this same
+        # module object) and binds it as that package's attribute.
+        sys.modules.pop(fullname, None)
+    capsule = extension.__pyx_capi__[name]
     as_py = ctypes.PYFUNCTYPE
     get_name = as_py(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = as_py(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
-    return prototype(get_pointer(capsule, get_name(capsule)))
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
 
 
 _INT_P = ctypes.POINTER(ctypes.c_int)
@@ -268,9 +262,8 @@ _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _CHAR_P = ctypes.c_char_p
 # void dtrsv(char *uplo, char *trans, char *diag, int *n, double *a, int *lda,
 #            double *x, int *incx)
-_DTRSV = _cython_function("cython_blas", "dtrsv", ctypes.CFUNCTYPE(
-    None, _CHAR_P, _CHAR_P, _CHAR_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P))
+_DTRSV = _cython_function("cython_blas", "dtrsv",
+                          _CHAR_P, _CHAR_P, _CHAR_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P)
 # void dpotrf(char *uplo, int *n, double *a, int *lda, int *info)
-_DPOTRF = _cython_function("cython_lapack", "dpotrf", ctypes.CFUNCTYPE(
-    None, _CHAR_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P))
+_DPOTRF = _cython_function("cython_lapack", "dpotrf", _CHAR_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P)
 _ONE = ctypes.c_int(1)

@@ -33,6 +33,20 @@ def test_traced_fit_and_scores_meet_the_benchmark_contract(monkeypatch):
     assert t.calls["linalg.spd_factor"] == 2
     assert t.counters["linalg.jitter_applied"] == 0
 
+    # A kernel-route fit builds its Gram once, takes its norm once and
+    # factors once; scoring adds none of these calls, so the benchmark's
+    # kernels.gram_per_fit and linalg.gflop stay what they are.
+    t = tracer.Tracer()
+    with t.installed():
+        model = christoffel.fit_kic(X, KernelSpec.rbf(1.0), C=500.0)
+        christoffel.kic_scores(model, X)
+        christoffel.kic_score(model, X[0])
+    assert model.factorization.n == len(X) < christoffel._SPLIT_MIN_N
+    for name in ("kernels.gram_matrix", "linalg.frobenius_norm", "linalg.spd_factor"):
+        assert t.calls[name] == 1, name
+    assert t.counters["kernels.evals"] == len(X) ** 2
+    assert t.counters["linalg.flop"] == len(X) ** 3 / 3.0
+
     listed = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     functions = {m["name"][: -len(".calls")] for m in listed if m["name"].endswith(".calls")}
     assert functions

@@ -516,8 +516,7 @@ def test_numerical_errors_share_one_base_class(error):
     assert issubclass(error, ValueError)
 
 
-@pytest.mark.parametrize("error", [*_NUMERICAL_CLASSES, np.linalg.LinAlgError],
-                         ids=lambda error: error.__name__)
+@pytest.mark.parametrize("error", _NUMERICAL_CLASSES, ids=lambda error: error.__name__)
 def test_failure_type_alone_decides_a_dash_cell_and_exit_3(tmp_path, monkeypatch, capsys, error):
     def failing(X, k=5):
         raise error("cannot score")
@@ -536,11 +535,13 @@ def test_failure_type_alone_decides_a_dash_cell_and_exit_3(tmp_path, monkeypatch
     assert not out.exists()
 
 
-def test_plain_value_error_from_a_method_fails_bench(tmp_path, monkeypatch, capsys):
-    # Only a numerical error costs one cell; any other ValueError is a fault
-    # that fails the whole table.
+@pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError],
+                         ids=lambda error: error.__name__)
+def test_plain_value_error_from_a_method_fails_bench(tmp_path, monkeypatch, capsys, error):
+    # Only a numerical error costs one cell; any other ValueError, numpy's
+    # LinAlgError among them, is a fault that fails the whole table.
     def failing(X, k=5):
-        raise ValueError("not numerical")
+        raise error("not numerical")
 
     monkeypatch.setattr(cli, "knn_scores", failing)
     data = _write_blobs(tmp_path)
@@ -884,15 +885,22 @@ def test_contour_rbf_far_field(tmp_path):
     assert np.allclose(corners, 1.0, atol=1e-3)
 
 
-@pytest.mark.parametrize("degree", ["2", "5"], ids=["feature-route", "kernel-route"])
-def test_contour_overflow_exits_3_with_one_line_and_no_warning(tmp_path, capsys, degree):
+@pytest.mark.parametrize("degree, grid", [
+    ("2", "-1e200,1e200,3,-1e200,1e200,3"),
+    ("5", "-1e200,1e200,3,-1e200,1e200,3"),
+    ("30", "1e6,2e6,2,0,1,2"),
+], ids=["feature-route", "kernel-route", "kernel-route-nan"])
+def test_contour_overflow_exits_3_with_one_line_and_no_warning(tmp_path, capsys, degree, grid):
     # 6 monomials of degree 2 in 2 features take the feature route on the 20
-    # rows, 21 of degree 5 the kernel route. Every grid point but the centre
-    # overflows its features or kernel row; the solve then fails with one
-    # message, and no numpy warning (an error under this suite's filter).
+    # rows, 21 of degree 5 and 496 of degree 30 the kernel route. On the first
+    # two grids every point but the centre overflows its features or kernel
+    # row. On the third, the kernel rows stay finite but each self-kernel and
+    # ||z||^2 overflow, and their difference would be NaN. The solve then
+    # fails with one message, and no numpy warning (an error under this
+    # suite's filter).
     out = tmp_path / "g.csv"
     code = main(["contour", "--method", "KIC", "--degree", degree, "--input", str(_write_2d(tmp_path)),
-                 "--grid=-1e200,1e200,3,-1e200,1e200,3", "--output", str(out)])
+                 f"--grid={grid}", "--output", str(out)])
     assert code == EXIT_NUMERIC
     assert capsys.readouterr().err == "numerical error: rhs contains non-finite values\n"
     assert not out.exists()

@@ -208,7 +208,7 @@ def test_solve_on_singular_factor_raises_like_solve_triangular():
 
 def test_missing_scipy_extension_raises_import_error_naming_its_path():
     with pytest.raises(ImportError, match=r"linalg\.no_such_module is not at .*no_such_module\."):
-        linalg._scipy_linalg_module("no_such_module")
+        linalg._cython_function("no_such_module", "dtrsv")
 
 
 _SCORE_BYTES = textwrap.dedent("""
@@ -219,7 +219,14 @@ _SCORE_BYTES = textwrap.dedent("""
     import numpy as np
     from christoffel_outliers import KernelSpec, fit_kic, ic_scores, kic_scores, linalg
     if sys.argv[1] == "first":
-        assert linalg._scipy_linalg_module("cython_blas") is sys.modules["scipy.linalg.cython_blas"]
+        # The binder takes the module already imported: with file loads made to
+        # fail, it still binds.
+        import ctypes, importlib.machinery
+        def fail(*args):
+            raise AssertionError("loaded from its file")
+        importlib.machinery.ExtensionFileLoader.exec_module = fail
+        address = lambda f: ctypes.cast(f, ctypes.c_void_p).value
+        assert address(linalg._cython_function("cython_blas", "dtrsv")) == address(linalg._DTRSV)
     X = np.random.default_rng(7).normal(size=(60, 3))
     kic = kic_scores(fit_kic(X, KernelSpec.polynomial(2)), X)
     print(hashlib.sha256(kic.tobytes() + ic_scores(X, X, 2).tobytes()).hexdigest())
@@ -227,7 +234,7 @@ _SCORE_BYTES = textwrap.dedent("""
 
 
 def test_scipy_linalg_imported_first_gives_its_blas_module_and_the_same_scores():
-    # With scipy.linalg already imported, the package binds dtrsv and dtrtrs
+    # With scipy.linalg already imported, the package binds dtrsv and dpotrf
     # from the cython_blas and cython_lapack modules it loaded.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -394,6 +401,14 @@ def test_block_objective_checks_its_block_and_raises_like_the_per_row_one():
         values = linalg._objectives(F, G.copy(), np.ones(2))
         assert values[1] == linalg._objectives(F, G[1].copy(), 1.0) == -np.inf
     assert values[0] == linalg._objectives(F, G[0].copy(), 1.0)
+    # An infinite gamma less an overflowing ||z||^2 is NaN, which raises in a
+    # block as it does for that row alone.
+    gammas = np.array([1.0, np.inf])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="rhs contains non-finite values"):
+            linalg._objectives(F, G.copy(), gammas)
+        with pytest.raises(ValueError, match="rhs contains non-finite values"):
+            linalg._objectives(F, G[1].copy(), np.inf)
 
 
 # ---------------------------------------------------------------------------
