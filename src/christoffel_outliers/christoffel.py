@@ -25,9 +25,9 @@ rho. It factors the s x s rho I + M and solves s-long systems. Its scores are
 squared norms times rho, never negative; and at a tiny rho a full-rank
 rho I + M factors where rho I + G (rank s < n) fails.
 
-All three routes score a batch through ``_batch_objectives``, one triangular
-solve per row; the explicit q(x), the rho -> 0 end of phi(rho) / rho, is minus
-the objective on the factor of M itself at v(x) and a zero self-kernel.
+All three routes score a batch through ``linalg._batch_objectives``, one triangular
+solve per row; the explicit q(x), the rho -> 0 end of phi(rho) / rho, is minus the
+objective on the factor of M itself at v(x) and a zero self-kernel.
 
 Default hyperparameter rules and the two-stage filtered variant live here
 as well.
@@ -35,10 +35,7 @@ as well.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
@@ -50,33 +47,11 @@ from .kernels import KernelSpec, _kernel_rows, _row_basis, gram_matrix
 from .linalg import (
     NotPositiveDefiniteError,
     SpdFactorization,
+    _batch_objectives,
     _objectives,
     frobenius_norm,
     spd_factor,
 )
-
-# A batch of m rows is split over threads only on a factor of order n of at
-# least _SPLIT_MIN_N, and only when m n^2, which sets the batch's solve time,
-# reaches _SPLIT_MIN_WORK. Split time over serial time for 1000 RBF rows at
-# p=20 on 2 cores with 1 BLAS thread (medians of 15 alternating calls, range
-# over 3 runs of a noisy host): 0.94-1.39 at n=200, 0.94-1.00 at n=300,
-# 0.78-0.93 at n=400, 0.68-0.81 at n=600 and 0.64-0.74 at n=1000. Measured
-# before the solves went to panels (polynomial / RBF, medians of 9
-# alternating runs): at n=400, 1.74 / 1.85 for 32 rows, 1.10 / 1.19 for 64,
-# 0.94 / 1.33 for 128 and 0.83 / 1.14 for 256; at n=1000, 0.79 / 0.79 for 32
-# rows, 0.69 / 0.63 for 64 and 0.65 / 0.58 for 128. Below n=400 the gain is
-# small and unsteady; below about 2^25 / n^2 rows, starting the threads costs
-# about what splitting saves.
-_SPLIT_MIN_N = 400
-_SPLIT_MIN_WORK = 2**25
-
-# Kernel values (or features) per block of a batch, about 256 KB: 64 rows at
-# n=512, 32 at n=1000. A block makes one stacked kernel product and one
-# stacked dot product, against a trsv per row. Bounding its values, not its
-# rows, keeps each thread's two or three block-sized temporaries small at any
-# n: with 64-row blocks the `table` benchmark peaked 1.4 MB above the per-row
-# loop, with this bound it peaks level with it, in the same wall time.
-_BLOCK_VALUES = 2**15
 
 # A grid point takes 16 bytes as a stacked (x, y) row, the largest of the
 # grid's arrays. A grid past this cap, far below the 2^47 bytes a 64-bit
@@ -272,9 +247,9 @@ def ic_scores(
 ) -> np.ndarray:
     """Moment-matrix scores q(x) = v(x)^T M^{-1} v(x) for each query row.
 
-    M = L L^T is factorized as it is; each score is ||L^{-1} v(x)||^2 from the
-    batch routine of ``kic_scores``, so, as there, a score depends neither on
-    the batch nor on the CPU count.
+    M = L L^T is factorized as it is; each score is ||L^{-1} v(x)||^2 from
+    ``linalg._batch_objectives``, as in ``kic_scores``, so a score depends
+    neither on the batch nor on the CPU count.
 
     Raises:
         ValueError: if d is not a positive integer (2.0 counts as 2).
@@ -386,58 +361,13 @@ def kic_scores(model: ChristoffelModel, Q) -> np.ndarray:
     feature route L L^T = rho I + M, and each value is rho ||L^{-1} v(x)||^2,
     -rho times that objective at gamma = 0.
 
-    The rows are scored by ``_batch_objectives``, so a score depends neither
-    on the batch nor on the CPU count, and equals ``kic_score`` at its row.
+    The rows are scored by ``linalg._batch_objectives``, so a score depends
+    neither on the batch nor on the CPU count, and equals ``kic_score`` at its row.
     """
     Q = as_matrix(Q, "Q")
     _check_features(model, Q.shape[1])
     values = _batch_objectives(model.factorization, lambda block: _rows(model, block), Q)
     return values * -model.rho if model.feature_map is not None else values
-
-
-def _batch_objectives(factorization: SpdFactorization, rows, Q: np.ndarray) -> np.ndarray:
-    """gamma - ||L^{-1} g||^2 for each row of the checked Q, where ``rows(block)``
-    gives a block's right-hand sides g and self-kernels gamma.
-
-    Each row gets its own right-hand side, forward substitution and dot
-    product, which a batched solve would round by the row's place in the
-    block: a block goes through ``rows`` and ``linalg._objectives``, which
-    take a single row (``kic_score``) by the same calls, so a value depends
-    neither on the batch nor on the CPU count. A batch of m rows on a
-    factor of order n >= ``_SPLIT_MIN_N`` with m n^2 >= ``_SPLIT_MIN_WORK`` is
-    split into contiguous chunks, one per CPU the process may run on, each
-    scored by ``_score_rows`` on its own thread while the solves release the
-    GIL; ``rows`` runs there too, so it calls only private functions.
-    """
-    m = Q.shape[0]
-    size = factorization.n
-    values = np.empty(m)
-    workers = 1
-    if size >= _SPLIT_MIN_N and m * size**2 >= _SPLIT_MIN_WORK:
-        workers = min(_cpu_count(), m)
-    if workers < 2:
-        _score_rows(factorization, rows, Q, values, 0, m)
-    else:
-        bounds = [m * k // workers for k in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # A copied context carries the caller's np.errstate into the thread.
-            futures = [pool.submit(contextvars.copy_context().run, _score_rows,
-                                   factorization, rows, Q, values, start, stop)
-                       for start, stop in zip(bounds, bounds[1:])]
-            for future in futures:
-                future.result()
-    return values
-
-
-def _score_rows(factorization: SpdFactorization, rows, Q: np.ndarray, values: np.ndarray,
-                start: int, stop: int) -> None:
-    """Write the objective value of rows start..stop-1 of Q, in blocks of at
-    most ``_BLOCK_VALUES`` kernel values or features (at least one row):
-    ``rows`` once per block, then the block's panel solves."""
-    step = max(1, _BLOCK_VALUES // factorization.n)
-    for lo in range(start, stop, step):
-        hi = min(lo + step, stop)
-        values[lo:hi] = _objectives(factorization, *rows(Q[lo:hi]))
 
 
 def _rows(model: ChristoffelModel, Q: np.ndarray) -> tuple:
@@ -453,14 +383,6 @@ def _rows(model: ChristoffelModel, Q: np.ndarray) -> tuple:
 def _check_features(model: ChristoffelModel, p: int) -> None:
     if p != model.p:
         raise ValueError(f"dimension mismatch: model expects {model.p} features, got {p}")
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 def kic_score(model: ChristoffelModel, x) -> float:

@@ -75,10 +75,16 @@ def load_csv(path, label_column: str | int | None = None) -> DataMatrix:
     returns the table the C reader could not vouch for (a comment line after
     the data, a spelling such as ``1_0``) or raises at the first faulty file
     row, naming it (1-based, counting comment, blank and header lines) and,
-    for a bad cell, its column.
+    for a bad cell, its column. Text that is not UTF-8, or a field past the
+    ``csv`` module's process-wide limit of 131072 characters, fails too.
     """
     path = Path(path)
-    values, header, label_idx = _load_fast(path, label_column) or _load_rows(path, label_column)
+    try:
+        values, header, label_idx = _load_fast(path, label_column) or _load_rows(path, label_column)
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})") from exc
+    except csv.Error as exc:  # from the first row, read before the row loop
+        raise CsvFormatError(f"{path}: {exc}") from exc
     labels = None
     if label_idx is not None:
         labels = values[:, label_idx].astype(int)
@@ -137,30 +143,34 @@ def _load_rows(path: Path, label_column):
     header: list[str] | None = None
     width = label_idx = None
     rows: list[np.ndarray] = []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not _is_content(row):
-                continue
-            if width is None:
-                width = len(row)
-                header, label_idx = _first_row(path, row, label_column)
-                if header is not None:
+    lineno = 0
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            for lineno, row in enumerate(csv.reader(handle), start=1):
+                if not _is_content(row):
                     continue
-            if len(row) != width:
-                raise CsvFormatError(
-                    f"{path}: ragged row {lineno}: expected {width} columns, found {len(row)}"
-                )
-            try:
-                parsed = np.array(row, dtype=float)
-            except ValueError:
-                parsed = None
-            if parsed is None or not np.isfinite(parsed).all():
-                raise _bad_cell(path, lineno, row)
-            if label_idx is not None and parsed[label_idx] not in (0.0, 1.0):
-                raise CsvFormatError(
-                    f"{path}: label value {row[label_idx].strip()!r} at row {lineno} is not binary 0/1"
-                )
-            rows.append(parsed)
+                if width is None:
+                    width = len(row)
+                    header, label_idx = _first_row(path, row, label_column)
+                    if header is not None:
+                        continue
+                if len(row) != width:
+                    raise CsvFormatError(
+                        f"{path}: ragged row {lineno}: expected {width} columns, found {len(row)}"
+                    )
+                try:
+                    parsed = np.array(row, dtype=float)
+                except ValueError:
+                    parsed = None
+                if parsed is None or not np.isfinite(parsed).all():
+                    raise _bad_cell(path, lineno, row)
+                if label_idx is not None and parsed[label_idx] not in (0.0, 1.0):
+                    raise CsvFormatError(
+                        f"{path}: label value {row[label_idx].strip()!r} at row {lineno} is not binary 0/1"
+                    )
+                rows.append(parsed)
+    except csv.Error as exc:  # a row the csv module refuses, such as an oversized field
+        raise CsvFormatError(f"{path}: {exc} at row {lineno + 1}") from exc
     if not rows:
         if header is not None:
             raise CsvFormatError(f"{path}: header but no data rows")

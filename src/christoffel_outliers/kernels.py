@@ -78,16 +78,19 @@ class KernelSpec:
         return cls(family=RBF, lengthscale=float(lengthscale))
 
 
-def _int_power(base, exponent: int):
-    """base**exponent for an exponent >= 1 by repeated squaring; elementwise on arrays."""
+def _int_power(base, e: int):
+    """base**e for an int e >= 1 by repeated squaring, elementwise on arrays; a
+    fresh array ``base``, which the caller gives up, is squared in place."""
     result = None
-    e = int(exponent)
     while e:
         if e & 1:
-            result = base if result is None else result * base
+            if result is None:
+                result = base.copy() if e > 1 else base
+            else:
+                result *= base
         e >>= 1
         if e:
-            base = base * base
+            base *= base
     return result
 
 
@@ -115,9 +118,6 @@ def _transform(spec: KernelSpec, P: np.ndarray) -> np.ndarray:
     """
     if spec.family == POLYNOMIAL:
         P += 1.0
-        if spec.degree == 2:
-            P *= P
-            return P
         return _int_power(P, spec.degree)
     np.negative(P, out=P)
     P /= 2.0 * spec.lengthscale**2

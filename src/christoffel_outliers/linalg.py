@@ -11,15 +11,16 @@ is the regularized distance of a feature vector v from the span of the
 training columns V, expressed through the kernel triple (G, g, gamma).
 ``_objectives`` takes one g or a block of them, and each g gets its own
 forward substitution, ``_forward``: BLAS calls that work in place on g and
-release the GIL, so threads scoring other vectors run meanwhile. One binder,
-``_cython_function``, takes BLAS dtrsv and LAPACK dpotrf from scipy's Cython
-modules without ``import scipy.linalg``, which would take half of the
-package's start-up; ``spd_solve``, which no scorer calls, imports
-``scipy.linalg.solve_triangular`` on its first call.
+release the GIL, so ``_batch_objectives`` hands a large batch's blocks to a
+pool of threads. One binder, ``_cython_function``, takes BLAS dtrsv and
+LAPACK dpotrf from scipy's Cython modules without ``import scipy.linalg``,
+which would take half of the package's start-up; ``spd_solve``, which no
+scorer calls, imports ``scipy.linalg.solve_triangular`` on its first call.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import importlib.machinery
@@ -27,6 +28,7 @@ import importlib.util
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +157,69 @@ def ridge_objective_from_factor(factorization: SpdFactorization, g, gamma: float
         raise ValueError(f"rhs must be a writeable C-ordered float64 vector of length "
                          f"{factorization.n}, got shape {g.shape}")
     return float(_objectives(factorization, g, gamma))
+
+
+# A batch of m rows is split over threads only on a factor of order n of at
+# least _SPLIT_MIN_N, and only when m n^2, which sets the batch's solve time,
+# reaches _SPLIT_MIN_WORK. Split time over serial time for 1000 RBF rows at
+# p=20 on 2 cores with 1 BLAS thread (medians of 15 alternating calls, range
+# over 3 runs of a noisy host): 0.94-1.39 at n=200, 0.94-1.00 at n=300,
+# 0.78-0.93 at n=400, 0.68-0.81 at n=600 and 0.64-0.74 at n=1000. Below n=400
+# the gain is small and unsteady; below about 2^25 / n^2 rows, starting the
+# threads costs about what splitting saves.
+_SPLIT_MIN_N = 400
+_SPLIT_MIN_WORK = 2**25
+
+# Kernel values (or features) per block of a batch, about 256 KB: 64 rows at
+# n=512, 32 at n=1000. A block makes one stacked kernel product and one
+# stacked dot product, against a trsv per row. Bounding its values, not its
+# rows, keeps each thread's two or three block-sized temporaries small at any
+# n: with 64-row blocks the `table` benchmark peaked 1.4 MB above the per-row
+# loop, with this bound it peaks level with it, in the same wall time.
+_BLOCK_VALUES = 2**15
+
+
+def _batch_objectives(factorization: SpdFactorization, rows, Q: np.ndarray) -> np.ndarray:
+    """gamma - ||L^{-1} g||^2 for each row of the checked Q, with ``rows(block)``
+    a block's right-hand sides g and self-kernels gamma.
+
+    Blocks of at most ``_BLOCK_VALUES`` values (one row at least) go through
+    ``rows`` and ``_objectives`` as one row does in ``kic_score``, so a value
+    depends neither on the batch nor on the CPU count. The calling thread
+    takes them in order or, when n >= ``_SPLIT_MIN_N`` and m n^2 >=
+    ``_SPLIT_MIN_WORK``, a pool of one thread per CPU takes one per task, each
+    of at most ceil(m / threads) rows; ``rows`` then calls only private functions.
+    """
+    m, n = Q.shape[0], factorization.n
+    values = np.empty(m)
+    workers = min(_cpu_count(), m) if n >= _SPLIT_MIN_N and m * n**2 >= _SPLIT_MIN_WORK else 1
+    size = min(max(1, _BLOCK_VALUES // n), -(-m // workers))
+    starts = range(0, m, size)
+
+    def block(lo: int) -> None:
+        values[lo:lo + size] = _objectives(factorization, *rows(Q[lo:lo + size]))
+
+    if workers < 2:
+        for lo in starts:
+            block(lo)
+        return values
+    pool = ThreadPoolExecutor(workers)
+    try:
+        # A copied context carries the caller's np.errstate into the thread.
+        for future in [pool.submit(contextvars.copy_context().run, block, lo) for lo in starts]:
+            future.result()
+    finally:
+        # Once a block raises, the blocks not yet started are cancelled.
+        pool.shutdown(cancel_futures=True)
+    return values
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _objectives(factorization: SpdFactorization, G: np.ndarray, gammas):

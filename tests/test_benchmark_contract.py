@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import christoffel_outliers.cli  # noqa: F401  (imports every traced layer)
-from christoffel_outliers import christoffel
+from christoffel_outliers import christoffel, linalg
 from christoffel_outliers.kernels import KernelSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,7 +23,7 @@ def test_traced_fit_and_scores_meet_the_benchmark_contract(monkeypatch):
 
     rng = np.random.default_rng(0)
     X = rng.normal(size=(60, 2))
-    # A fit of fewer than christoffel._SPLIT_MIN_N rows keeps the scoring on
+    # A fit of fewer than linalg._SPLIT_MIN_N rows keeps the scoring on
     # the calling thread: the tracer's self-time stack is shared by all threads.
     t = tracer.Tracer()
     with t.installed():
@@ -41,7 +41,7 @@ def test_traced_fit_and_scores_meet_the_benchmark_contract(monkeypatch):
         model = christoffel.fit_kic(X, KernelSpec.rbf(1.0), C=500.0)
         christoffel.kic_scores(model, X)
         christoffel.kic_score(model, X[0])
-    assert model.factorization.n == len(X) < christoffel._SPLIT_MIN_N
+    assert model.factorization.n == len(X) < linalg._SPLIT_MIN_N
     for name in ("kernels.gram_matrix", "linalg.frobenius_norm", "linalg.spd_factor"):
         assert t.calls[name] == 1, name
     assert t.counters["kernels.evals"] == len(X) ** 2

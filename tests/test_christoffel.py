@@ -3,6 +3,7 @@ import ctypes
 import gc
 import itertools
 import math
+import os
 import pickle
 import re
 import sys
@@ -244,8 +245,8 @@ def test_ic_split_batch_matches_one_row_calls(monkeypatch):
     rng = np.random.default_rng(26)
     X = rng.normal(size=(420, 27))
     s = math.comb(27 + 2, 2)
-    assert s >= christoffel._SPLIT_MIN_N
-    Q = rng.normal(size=(-(-christoffel._SPLIT_MIN_WORK // s**2), 27))
+    assert s >= linalg._SPLIT_MIN_N
+    Q = rng.normal(size=(-(-linalg._SPLIT_MIN_WORK // s**2), 27))
     threads = _record_split(monkeypatch)
     batch = ic_scores(X, Q, 2)
     assert len(threads) == len(Q)
@@ -433,16 +434,16 @@ def _reject_overflowing_row(monkeypatch, model):
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="rhs contains non-finite values"):
         kic_score(model, np.full(p, 1e200))
     # The same row mid-block in a batch of 64-row blocks: row 100 of 129 sits
-    # 36 rows into the second block of the serial loop and of the second of
-    # two chunks.
+    # 36 rows into the second block, whether the calling thread takes the
+    # blocks or two pool threads do.
     Q = rng.normal(size=(129, p))
     Q[100] = 1e200
-    monkeypatch.setattr(christoffel, "_BLOCK_VALUES", 64 * model.factorization.n)
+    monkeypatch.setattr(linalg, "_BLOCK_VALUES", 64 * model.factorization.n)
     threads = _record_split(monkeypatch)
     for split in (False, True):
         if split:
-            monkeypatch.setattr(christoffel, "_SPLIT_MIN_N", 1)
-            monkeypatch.setattr(christoffel, "_SPLIT_MIN_WORK", 0)
+            monkeypatch.setattr(linalg, "_SPLIT_MIN_N", 1)
+            monkeypatch.setattr(linalg, "_SPLIT_MIN_WORK", 0)
         threads.clear()
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="rhs contains non-finite values"):
             kic_scores(model, Q)
@@ -475,7 +476,7 @@ def test_kic_score_makes_one_solve_on_the_calling_thread(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("unexpected call")
 
-    monkeypatch.setattr(christoffel, "ThreadPoolExecutor", refused)
+    monkeypatch.setattr(linalg, "ThreadPoolExecutor", refused)
     monkeypatch.setattr(christoffel, "as_matrix", refused)
     assert kic_score(model, Q[0]) > 0.0
     assert threads == [threading.get_ident()]
@@ -497,8 +498,9 @@ def test_negative_kernel_route_values_are_returned_as_computed(monkeypatch, valu
 
     # kic_score and kic_scores both take the one objective routine, so this
     # one stub, which works on one gamma and on a block's gammas alike,
-    # reaches both.
+    # reaches both: through kic_score's binding and the batch routine's.
     monkeypatch.setattr(christoffel, "_objectives", negative)
+    monkeypatch.setattr(linalg, "_objectives", negative)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         single = kic_score(model, Q[0])
@@ -627,10 +629,10 @@ def _record_split(monkeypatch, workers=2):
     """Give kic_scores ``workers`` CPUs and record the thread of every solve.
 
     The first solve of each thread but the caller's waits until ``workers``
-    such threads have arrived, so the chunks must run at the same time, each
-    on a thread of its own.
+    such threads have arrived, so ``workers`` blocks must run at the same
+    time, each on a thread of its own.
     """
-    monkeypatch.setattr(christoffel, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(linalg, "_cpu_count", lambda: workers)
     threads = []
     caller = threading.get_ident()
     # Per thread, not per ident: a later pool's thread may reuse the ident of
@@ -655,21 +657,21 @@ def _split_case(kernel, rho, n=None):
     # A polynomial fit takes the kernel route, whose n x n factor is the one
     # that splits: its 30 features have more monomials than the fit has rows.
     rng = np.random.default_rng(41)
-    X = rng.normal(size=(n or christoffel._SPLIT_MIN_N, 3 if kernel.family == "rbf" else 30))
+    X = rng.normal(size=(n or linalg._SPLIT_MIN_N, 3 if kernel.family == "rbf" else 30))
     return fit_kic(X, kernel, rho), rng.normal(size=(256, X.shape[1])) * 2.0
 
 
 def _fewest_split_rows(model):
     """The smallest batch that kic_scores splits on ``model``."""
-    return -(-christoffel._SPLIT_MIN_WORK // model.n**2)
+    return -(-linalg._SPLIT_MIN_WORK // model.n**2)
 
 
 @pytest.mark.parametrize("kernel, rho, rows, split, order", [
     pytest.param(KernelSpec.polynomial(2), 0.05, 256, True, "C", id="kernel0-0.05"),
     pytest.param(KernelSpec.rbf(1.5), 0.05, 256, True, "C", id="kernel1-0.05"),
-    # Degree 3 takes the generic power by squaring, not the in-place square.
+    # Degree 3 copies its base once, for the odd bit, before squaring it in place.
     pytest.param(KernelSpec.polynomial(3), 0.05, 256, True, "C", id="kernel2-0.05"),
-    # Batches around a 64-row block, scored serially or in two chunks, and
+    # Batches around a 64-row block, scored serially or by two threads, and
     # an F-ordered batch, whose rows are strided views.
     *[
         pytest.param(kernel, 0.05, rows, split, order,
@@ -680,14 +682,14 @@ def _fewest_split_rows(model):
     ],
 ])
 def test_split_batch_matches_per_point_scores(monkeypatch, kernel, rho, rows, split, order):
-    # Each chunk's rows go through the same block loop on their own thread,
-    # and every score keeps the bits of a one-row kic_score call, wherever
-    # the chunk and block boundaries fall.
-    model, Q = _split_case(kernel, rho, None if split else christoffel._SPLIT_MIN_N - 1)
+    # The blocks go to the calling thread or to two pool threads, and every
+    # score keeps the bits of a one-row kic_score call, wherever the block
+    # boundaries fall.
+    model, Q = _split_case(kernel, rho, None if split else linalg._SPLIT_MIN_N - 1)
     Q = np.asarray(Q[:rows], order=order)
-    monkeypatch.setattr(christoffel, "_BLOCK_VALUES", 64 * model.n)
+    monkeypatch.setattr(linalg, "_BLOCK_VALUES", 64 * model.n)
     if split:
-        monkeypatch.setattr(christoffel, "_SPLIT_MIN_WORK", 0)
+        monkeypatch.setattr(linalg, "_SPLIT_MIN_WORK", 0)
     threads = _record_split(monkeypatch)
     scores = kic_scores(model, Q)
     assert len(threads) == len(Q)
@@ -714,8 +716,9 @@ def test_polynomial_scores_depend_on_the_row_values_only(p):
 
 
 def test_split_batch_over_more_threads_than_cores(monkeypatch):
-    # Seven uneven chunks with frequent thread switches: every row is written
-    # once, by its own chunk, with the serial loop's bits.
+    # Seven blocks, the last one shorter, on seven threads with frequent
+    # thread switches: every row is written once, by its own block, with the
+    # serial loop's bits.
     model, Q = _split_case(KernelSpec.rbf(1.5), 0.05)
     expected = np.array([kic_score(model, q) for q in Q])
     threads = _record_split(monkeypatch, workers=7)
@@ -738,16 +741,46 @@ def test_small_batches_and_small_fits_stay_on_the_calling_thread(monkeypatch):
         raise AssertionError("a thread pool was started")
 
     with monkeypatch.context() as m:
-        m.setattr(christoffel, "ThreadPoolExecutor", no_pool)
+        m.setattr(linalg, "ThreadPoolExecutor", no_pool)
         kic_score(model, Q[0])
         kic_scores(model, Q[: _fewest_split_rows(model) - 1])
         kic_scores(small, Q)
-        m.setattr(christoffel, "_cpu_count", lambda: 1)
+        m.setattr(linalg, "_cpu_count", lambda: 1)
         kic_scores(model, Q)
     assert set(threads) == {threading.get_ident()}
     threads.clear()
     kic_scores(model, Q[: _fewest_split_rows(model)])
     assert len(set(threads)) == 2 and threading.get_ident() not in threads
+
+
+def test_cpu_count_falls_back_to_os_cpu_count(monkeypatch):
+    # Without os.sched_getaffinity, as on macOS and Windows, the CPU count is
+    # os.cpu_count(), or 1 when that is unknown; a batch split by that count
+    # keeps the per-row bits.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert linalg._cpu_count() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert linalg._cpu_count() == 2
+    model, Q = _split_case(KernelSpec.rbf(1.5), 0.05)
+    fallback = linalg._cpu_count
+    threads = _record_split(monkeypatch)
+    monkeypatch.setattr(linalg, "_cpu_count", fallback)
+    scores = kic_scores(model, Q)
+    assert len(set(threads)) == 2 and threading.get_ident() not in threads
+    expected = np.array([kic_score(model, q) for q in Q])
+    assert scores.tobytes() == expected.tobytes()
+
+
+def test_failing_split_batch_starts_no_more_blocks(monkeypatch):
+    # Every row overflows, so the first block raises: the blocks not yet
+    # started are cancelled, and most of the 247 blocks are never solved.
+    model, Q = _split_case(KernelSpec.polynomial(2), 0.05)
+    Q = np.full((20000, Q.shape[1]), 1e200)
+    threads = _record_split(monkeypatch)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="rhs contains non-finite values"):
+        kic_scores(model, Q)
+    assert 0 < len(threads) < len(Q) // 2
 
 
 def test_f_ordered_factor_scores_like_the_c_ordered_one(monkeypatch):
@@ -779,7 +812,7 @@ def test_model_copies_score_with_the_originals_bits(monkeypatch, kernel, duplica
     # model outlives the original and scores, one row, serially and split,
     # with the original's bits.
     model, Q = _split_case(kernel, 0.05)
-    monkeypatch.setattr(christoffel, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
     small = Q[: _fewest_split_rows(model) - 1]
     expected = [kic_score(model, Q[0]), kic_scores(model, small).tobytes(),
                 kic_scores(model, Q).tobytes()]
@@ -896,11 +929,15 @@ def test_each_row_makes_one_triangular_solve_per_panel(monkeypatch, n, panels):
 @pytest.mark.parametrize("kernel, p, bound", [
     (KernelSpec.polynomial(2), 50, 9 * 2**20),
     (KernelSpec.rbf(3.5), 50, 15.8 * 2**20),
-], ids=["polynomial", "rbf"])
+    (KernelSpec.polynomial(3), 50, 16 * 2**20),
+    (KernelSpec.polynomial(4), 50, 9 * 2**20),
+], ids=["polynomial", "rbf", "polynomial-3", "polynomial-4"])
 def test_kernel_route_fit_peaks_near_one_gram(kernel, p, bound):
     # A polynomial fit holds one n x n array (7.6 MiB at n=1000): the C rule's
     # norm makes no squared copy and the Cholesky works in the Gram's buffer.
-    # An RBF fit adds only the Gram's n x n distance-norm temporary.
+    # Its power squares the Gram in place, so degree 4 holds one array too;
+    # degree 3 adds one copy, for its odd bit. An RBF fit adds only the
+    # Gram's n x n distance-norm temporary.
     X = np.random.default_rng(46).normal(size=(1000, p))
     tracemalloc.start()
     try:
@@ -965,14 +1002,14 @@ def test_feature_route_builds_no_gram_and_takes_rho_from_the_moment_matrix(monke
 @pytest.mark.parametrize("p", [2, 20])
 @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
 def test_feature_route_batch_matches_per_point_scores(monkeypatch, p, split):
-    # Blocks of 64 rows, scored serially or in two chunks: every row is one
+    # Blocks of 64 rows, scored serially or by two threads: every row is one
     # s-sized trsv and keeps the bits of its one-row kic_score call.
     model, Q = _feature_case(p)
     Q = np.vstack([Q, model.training])
-    monkeypatch.setattr(christoffel, "_BLOCK_VALUES", 64 * model.factorization.n)
+    monkeypatch.setattr(linalg, "_BLOCK_VALUES", 64 * model.factorization.n)
     if split:
-        monkeypatch.setattr(christoffel, "_SPLIT_MIN_N", 1)
-        monkeypatch.setattr(christoffel, "_SPLIT_MIN_WORK", 0)
+        monkeypatch.setattr(linalg, "_SPLIT_MIN_N", 1)
+        monkeypatch.setattr(linalg, "_SPLIT_MIN_WORK", 0)
     threads = _record_split(monkeypatch)
     recorded, sizes = linalg._DTRSV, []
 

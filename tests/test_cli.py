@@ -288,6 +288,28 @@ def test_score_missing_input_is_io_error(tmp_path):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"a,b,outlier\n1,2,0\n3,\xe9,1\n", "not UTF-8 text (byte 0xe9"),
+    (b"a,b,outlier\n1,2,0\n3," + b"4" * 131073 + b",1\n",
+     "field larger than field limit (131072) at row 3"),
+    (b"a," + b"b" * 131073 + b",outlier\n1,2,0\n3,4,1\n", "field larger than field limit (131072)"),
+], ids=["not-utf8", "long-cell", "long-header"])
+def test_unreadable_input_exits_4_with_one_line(tmp_path, capsys, content, message):
+    # Bytes that are not UTF-8, and a field past the csv module's limit of
+    # 131072 characters, in the header (read before the row loop) or in a
+    # data row: an input error naming the file, not a numerical error or a
+    # traceback.
+    data = tmp_path / "bad.csv"
+    data.write_bytes(content)
+    before = set(tmp_path.iterdir())
+    code = main(["score", "--method", "KNN", "--k", "1", "--input", str(data),
+                 "--label-column", "outlier", "--output", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith(f"input error: {data}: {message}") and err.count("\n") == 1
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_env_variable_overrides_default(tmp_path, monkeypatch):
     data = _write_line_dataset(tmp_path)
     out = tmp_path / "env.csv"
